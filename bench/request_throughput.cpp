@@ -9,8 +9,9 @@
 // sharded path, the flag-gated per-request-walk baseline, and every
 // {active-set, full-scan} x {1, T threads} combination produce bit-identical
 // completion fingerprints -- the determinism contract under production
-// traffic. Exit code is nonzero if any cell is unsteady or any fingerprint
-// diverges, so CI can run a small cell as a sanity gate.
+// traffic. Exit code is nonzero if any cell is unsteady, fails to drain
+// within its round guard, or any fingerprint diverges, so CI can run a small
+// cell as a sanity gate.
 //
 // Besides sustained req/s, each cell reports the per-request latency SLO
 // numbers: p50/p99/max ROUNDS-IN-FLIGHT (completion_round - issue_round)
@@ -56,6 +57,7 @@ struct CellResult {
   double window_ms = 0.0;
   double rps = 0.0;
   bool steady = false;
+  bool drained = false;  // the queue emptied before the drain guard
   std::uint64_t fingerprint = 0;  // after full drain -- cross-cell invariant
   // Rounds-in-flight distribution of the requests completed inside the
   // measured window (the steady-state latency SLO numbers).
@@ -157,11 +159,14 @@ CellResult run_cell(const core::Network& base, std::size_t n,
     res.lat_p99 = rif[((rif.size() - 1) * 99) / 100];
     res.lat_max = rif.back();
   }
-  std::uint64_t guard = 0;
-  while (req.inflight() > 0 && guard++ < 100000) {
+  // A drain that hits the guard leaves requests in flight, so its
+  // fingerprint covers only part of the workload: the cell fails.
+  for (std::uint64_t guard = 0; req.inflight() > 0 && guard < 100000;
+       ++guard) {
     engine.step();
     req.on_round();
   }
+  res.drained = req.inflight() == 0;
   res.fingerprint = req.fingerprint();
   return res;
 }
@@ -218,6 +223,12 @@ int main(int argc, char** argv) {
     for (std::size_t c = 0; c < cells.size(); ++c) {
       const CellResult& r = cells[c];
       all_ok = all_ok && r.steady;
+      if (!r.drained) {
+        std::printf("FAIL: n=%zu %s/%u drain hit the round guard with "
+                    "requests still in flight\n",
+                    n, modes[c].name, modes[c].threads);
+        all_ok = false;
+      }
       if (r.lat_p99 > p99_bound) {
         std::printf("FAIL: n=%zu %s/%u window p99 rounds-in-flight %" PRIu64
                     " exceeds bound %" PRIu64 "\n",
@@ -277,6 +288,7 @@ int main(int argc, char** argv) {
         for (const unsigned t : {1U, cfg.threads}) {
           const CellResult r = run_cell(base, n, t, fs, /*walk=*/false,
                                         traffic, vwarm, vrounds, cfg.seed);
+          if (!r.drained) vok = false;
           if (ref == 0)
             ref = r.fingerprint;
           else if (r.fingerprint != ref)
@@ -300,8 +312,8 @@ int main(int argc, char** argv) {
   json.note();
   if (!all_ok) {
     std::printf(
-        "FAIL: unsteady queue, latency SLO breach or fingerprint divergence "
-        "(see above)\n");
+        "FAIL: unsteady queue, partial drain, latency SLO breach or "
+        "fingerprint divergence (see above)\n");
     return 1;
   }
   return 0;

@@ -27,17 +27,12 @@ EngineOptions engine_options_from_cli(const util::Cli& cli,
   base.threads = static_cast<unsigned>(std::max<std::int64_t>(
       1, cli.get_int("threads", static_cast<std::int64_t>(base.threads))));
   if (cli.get_flag("full-scan")) base.full_scan = true;
-  if (cli.get_flag("legacy-fixpoint")) base.legacy_fixpoint = true;
-  if (cli.get_flag("no-translate")) base.translate_chains = false;
   return base;
 }
 
 Engine::Engine(Network net, EngineOptions opt)
     : net_(std::move(net)), opt_(opt) {
   if (opt_.threads == 0) opt_.threads = 1;
-  // The legacy serialize-per-round detector predates the per-slot change
-  // tracking the scheduler's wake mechanism is built on.
-  if (opt_.legacy_fixpoint) opt_.full_scan = true;
 }
 
 std::uint32_t Engine::join_peer(RingPos id, std::uint32_t contact_owner) {
@@ -207,9 +202,9 @@ void Engine::compute_skip_set() {
   //       replays applies its recorded removals and needs the skipped
   //       peer's re-adds; a referenced owner whose aliveness pattern moved
   //       would resolve the op differently at commit. Either way the peer
-  //       must emit -- which under the TRANSLATION CLOSURE (the default,
-  //       DESIGN.md §6.6) no longer requires replaying: the peer is demoted
-  //       to emit-only ("boundary") -- still skipped, but its cached ops are
+  //       must emit -- which under the TRANSLATION CLOSURE (DESIGN.md §6.6)
+  //       does not require replaying: the peer is demoted to emit-only
+  //       ("boundary") -- still skipped, but its cached ops are
   //       injected verbatim into the round's op stream by run_range. The
   //       injection is exactly what a replay would emit (the cache IS the
   //       pure phase output), and omitting the replay's delta application
@@ -218,12 +213,10 @@ void Engine::compute_skip_set() {
   //       (suppressed with it) or emit duplicates, which are set-level
   //       no-ops against the un-removed edge (network.cpp documents that
   //       duplicate adds leave digests and dirty marks untouched). Hence
-  //       eviction no longer cascades upstream through op_senders_ -- a
+  //       eviction never cascades upstream through op_senders_ -- a
   //       uniformly-translating chain costs its O(frontier) live peers plus
   //       the boundary injections at the woken fringe instead of replaying
-  //       end to end every round. Under --no-translate the pre-closure
-  //       behavior is kept: referenced owners are evicted transitively via
-  //       the worklist below (the A/B baseline the lockstep tests pin).
+  //       end to end every round.
   //   (2) upstream: no peer running live this round has cached ops into a
   //       skipped peer. A live run may stop re-sending the op that cancels
   //       the skipped peer's recorded removal, so the skipped peer must
@@ -279,39 +272,26 @@ void Engine::compute_skip_set() {
   if (!skip_possible()) return;
   for (std::uint32_t o = 0; o < n; ++o)
     skip_[o] = net_.owner_alive(o) && cache_[o].valid && !wake_[o] ? 1 : 0;
-  const bool translate = opt_.translate_chains;
-  // Lazy rule (2): in a calm translate round the referents of live runners
-  // are evicted AFTER the live runs, and only when the fresh output really
+  // Lazy rule (2): in a calm round the referents of live runners are
+  // evicted AFTER the live runs, and only when the fresh output really
   // dropped the op that referenced them (apply_deferred_evictions). Storm
   // rounds keep the eager eviction -- they record no caches, so there is no
   // fresh output to diff against.
-  lazy_evict_round_ = translate && !bulk_round_;
-  evict_stack_.clear();
-  // Under the translation closure evictions are DIRECT only -- each of the
-  // rules below clears the skip flag of the owners it names, and senders
-  // into those owners are demoted to boundary afterwards instead of being
-  // evicted transitively. The worklist (and its upstream cascade) exists
-  // only for the --no-translate baseline.
-  const auto evict = [this, translate](std::uint32_t d) {
-    if (skip_[d]) {
-      skip_[d] = 0;
-      if (!translate) evict_stack_.push_back(d);
-    }
-  };
-  for (std::uint32_t o = 0; o < n; ++o) {
-    if (!net_.owner_alive(o)) continue;
-    if (!lazy_evict_round_ && (wake_[o] || !cache_[o].valid)) {
+  lazy_evict_round_ = !bulk_round_;
+  // Evictions are DIRECT only -- each rule below clears the skip flag of the
+  // owners it names, and senders into those owners are demoted to boundary
+  // afterwards instead of being evicted transitively.
+  const auto evict = [this](std::uint32_t d) { skip_[d] = 0; };
+  if (!lazy_evict_round_)
+    for (std::uint32_t o = 0; o < n; ++o) {
       // Rule (2): `o` runs live this round. (An owner merely *evicted* from
       // the skip set replays its cached ops verbatim and triggers nothing.)
       // In lazy rounds this is deferred: the eviction is only needed if the
       // fresh run stops re-sending the op, which run_range detects by
       // diffing the fresh output against the cache.
-      for (std::uint32_t d : cache_[o].op_owners) evict(d);
+      if (net_.owner_alive(o) && (wake_[o] || !cache_[o].valid))
+        for (std::uint32_t d : cache_[o].op_owners) evict(d);
     }
-    // Legacy closure seed for rule (1): senders into a non-skipped owner.
-    if (!translate && !skip_[o] && !op_senders_[o].empty())
-      evict_stack_.push_back(o);
-  }
   for (std::uint32_t o : oob_owners_)
     if (!net_.owner_alive(o))  // departed peers: one-time rule (2) eviction
       for (std::uint32_t d : cache_[o].op_owners) evict(d);
@@ -357,21 +337,13 @@ void Engine::compute_skip_set() {
       }
       if (pc.has_nonzero_delay) evict(o);
     }
-  if (!translate) {
-    while (!evict_stack_.empty()) {
-      const std::uint32_t d = evict_stack_.back();
-      evict_stack_.pop_back();
-      for (std::uint32_t u : op_senders_[d]) evict(u);
-    }
-    return;
-  }
-  // Translation closure, boundary marking (rule (1) without the cascade):
+  // Translation closure, boundary marking (rule (1) without a cascade):
   // every still-skipped sender whose cached ops reference an owner running
   // this round is demoted to emit-only. Dead owners are deliberately not
   // boundary sources -- ops referencing them resolve to dropped in both
-  // modes, so their senders stay fully suppressed (same as the legacy
-  // non-seed treatment of dead owners). Cost: O(owners) plus the op-sender
-  // lists of the non-skipped region -- the woken fringe, not the chains.
+  // modes, so their senders stay fully suppressed. Cost: O(owners) plus the
+  // op-sender lists of the non-skipped region -- the woken fringe, not the
+  // chains.
   std::fill(boundary_.begin(), boundary_.end(), 0);
   for (std::uint32_t o = 0; o < n; ++o) {
     if (skip_[o] || !net_.owner_alive(o)) continue;
@@ -701,6 +673,7 @@ void Engine::run_peers() {
 void Engine::apply_deferred_evictions() {
   deferred_replays_ = 0;
   deferred_boundary_ = 0;
+  deferred_unboundary_ = 0;
   if (!lazy_evict_round_) return;
   // Gathering in shard order visits the pending entries in the runners'
   // ascending-owner order -- the serial order -- so the deferred pass is
@@ -711,6 +684,12 @@ void Engine::apply_deferred_evictions() {
       if (skip_[d]) {
         skip_[d] = 0;
         phase_b_.push_back(d);
+        // An emit-only owner that now replays is no longer skipped, so it
+        // leaves the boundary count too (boundary is a subset of skipped).
+        if (boundary_[d]) {
+          boundary_[d] = 0;
+          ++deferred_unboundary_;
+        }
       }
   if (phase_b_.empty()) return;
   // A deferred replay commits identically to an in-pass one: the rule phase
@@ -812,9 +791,7 @@ RoundMetrics Engine::step() {
   // pipeline for the round.
   latency_round_ = latency_installed_ &&
                    (!latency_.trivial() || inflight_count_ > 0);
-  if (opt_.legacy_fixpoint) {
-    if (prev_state_.empty()) prev_state_ = net_.serialize_state();
-  } else if (!baseline_ready_) {
+  if (!baseline_ready_) {
     net_.rebuild_change_baseline();
     baseline_ready_ = true;
     if (active) {
@@ -870,11 +847,12 @@ RoundMetrics Engine::step() {
   for (std::size_t v : shard_skipped_) skipped_peers += v;
   for (std::size_t v : shard_boundary_) boundary_peers += v;
   // Deferred rule-(2) replays ran after the skip branch already counted
-  // them as skipped; recount them as the replays they were, and count the
-  // emit-only injections the deferred pass added.
+  // them as skipped (and, if emit-only, as boundary); recount them as the
+  // replays they were, and count the emit-only injections the deferred pass
+  // added.
   skipped_peers -= deferred_replays_;
   replayed_peers += deferred_replays_;
-  boundary_peers += deferred_boundary_;
+  boundary_peers = boundary_peers - deferred_unboundary_ + deferred_boundary_;
   for (std::uint64_t v : shard_mismatch_) replay_mismatches_ += v;
   if (active && !mass_reg_pending_) {
     util::ScopedPhase span(util::Phase::kIndexRegister);
@@ -917,15 +895,13 @@ RoundMetrics Engine::step() {
   // meanwhile-deleted virtual node is absorbed by the owning peer's u_m (see
   // DESIGN.md: ghost re-homing); a message to or from a departed peer is
   // dropped. Set insertion into the sorted edge sets is commutative, so the
-  // committed state is independent of delivery order -- which admits three
+  // committed state is independent of delivery order -- which admits two
   // pipelines with identical results:
   //   * loss-free (hot path): apply each op directly, no canonical ordering
   //     needed. Measured fastest -- the per-(target,kind) groups are tiny, so
   //     the O(ops log ops) sorts cost more than they save.
   //   * lossy: sort + dedup for the deterministic per-index drop coins, then
   //     group by (target, kind) and bulk-merge each group in one pass.
-  //   * legacy_fixpoint: the pre-overhaul pipeline (sort + dedup + one
-  //     binary-searched insert per op), kept for the bench comparison.
   {
   util::ScopedPhase commit_span(util::Phase::kCommit);
   auto resolve = [this](Slot s) -> Slot {
@@ -934,7 +910,7 @@ RoundMetrics Engine::step() {
     if (!net_.owner_alive(owner)) return kInvalidSlot;
     return slot_of(owner, net_.max_live_index(owner));
   };
-  if (opt_.message_loss <= 0.0 && !opt_.legacy_fixpoint) {
+  if (opt_.message_loss <= 0.0) {
     for (const DelayedOp& op : ops_) {
       if (partition_active_ && partition_cut(op.target, op.payload)) {
         ++partition_dropped_;
@@ -963,11 +939,7 @@ RoundMetrics Engine::step() {
       const Slot target = resolve(ops_[i].target);
       const Slot payload = resolve(ops_[i].payload);
       if (target == kInvalidSlot || payload == kInvalidSlot) continue;
-      if (opt_.legacy_fixpoint) {
-        net_.add_edge(target, ops_[i].kind, payload);
-      } else {
-        resolved_.push_back({target, ops_[i].kind, payload});
-      }
+      resolved_.push_back({target, ops_[i].kind, payload});
     }
     // Batched delivery: group by (target, kind) and merge each group into
     // the sorted edge set in a single pass. Payloads are pre-sorted by the
@@ -1032,26 +1004,13 @@ RoundMetrics Engine::step() {
   mt.replayed_peers = replayed_peers;
   mt.skipped_peers = skipped_peers;
   mt.boundary_peers = boundary_peers;
-  if (opt_.legacy_fixpoint) {
-    auto state = net_.serialize_state();
-    mt.changed = state != prev_state_;
-    prev_state_ = std::move(state);
-  } else if (active) {
-    changed_owners_.clear();
-    published_owners_.clear();
-    mt.changed =
-        net_.consume_round_changes(&changed_owners_, &published_owners_);
-    apply_wakes();
-  } else {
-    // Full scan also collects the changed-owner list -- not for wakes (there
-    // are none), but so the per-datacenter change flags below stay available
-    // in every non-legacy mode.
-    changed_owners_.clear();
-    published_owners_.clear();
-    mt.changed =
-        net_.consume_round_changes(&changed_owners_, &published_owners_);
-  }
-  if (!dc_of_owner_.empty() && !opt_.legacy_fixpoint) {
+  // The full scan also collects the changed-owner lists -- not for wakes
+  // (there are none), but for the per-datacenter change flags below.
+  changed_owners_.clear();
+  published_owners_.clear();
+  mt.changed = net_.consume_round_changes(&changed_owners_, &published_owners_);
+  if (active) apply_wakes();
+  if (!dc_of_owner_.empty()) {
     // Which datacenters moved this round (per-dc convergence lag, scenario
     // CSV). Derived from the digest-level changed-owner list, a pure state
     // property -- identical across scheduler modes and thread counts.
@@ -1063,8 +1022,8 @@ RoundMetrics Engine::step() {
   }
   // In-flight messages are pending state changes: a round that left the
   // latency queue non-empty is never a fixpoint, even when no digest moved
-  // (the queued deliveries land in later rounds). Applies identically to
-  // all three detector paths, so the verdict stays mode-independent.
+  // (the queued deliveries land in later rounds). Applies identically in
+  // every scheduler mode, so the verdict stays mode-independent.
   if (inflight_count_ > 0) mt.changed = true;
   }
   {

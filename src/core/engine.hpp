@@ -44,15 +44,15 @@
 // removal/re-add pair is suppressed as a pair (its upstream is skipped
 // too), and a duplicate delivery into a skipped target is a set-level
 // no-op that leaves digests untouched (network.cpp documents that
-// guarantee). The eviction worklist disappears: evictions no longer
-// propagate upstream, each round's real work tracks the O(frontier) peers
-// whose state genuinely moves, and the exact-fixpoint tail costs
-// O(total chain length) live peer-rounds instead of O(n * rounds). At
+// guarantee). Evictions never propagate upstream, so each round's real work
+// tracks the O(frontier) peers whose state genuinely moves, and the
+// exact-fixpoint tail costs O(total chain length) live peer-rounds instead
+// of O(n * rounds). At
 // the fixpoint every peer is skipped and a round costs a few O(owners)
 // scans; under churn the eviction tracks the perturbed op-flow region. The
-// result is bit-identical to the full scan (flag-gated via
-// EngineOptions::full_scan), serial and sharded, which
-// tests/test_scheduler.cpp asserts.
+// result is bit-identical to the full scan (EngineOptions::full_scan, the
+// one reference oracle), serial and sharded, which tests/test_scheduler.cpp
+// asserts.
 
 #include <algorithm>
 #include <array>
@@ -104,8 +104,7 @@ struct RoundMetrics {
   std::size_t inflight_messages = 0;
   /// Per-datacenter change flags: dc_changed(d) iff some owner assigned to
   /// datacenter d changed state this round, valid for d < dc_count.
-  /// dc_count stays 0 unless datacenters are assigned (and under
-  /// legacy_fixpoint, which has no per-owner change lists). A pure state
+  /// dc_count stays 0 unless datacenters are assigned. A pure state
   /// property, so identical across scheduler modes and thread counts -- the
   /// scenario CSV derives its per-dc convergence-lag column from it. An
   /// inline 256-bit set (the dc id domain), not a vector: RoundMetrics is
@@ -138,26 +137,10 @@ struct EngineOptions {
   /// way).
   unsigned threads = 1;
 
-  /// Detect the fixpoint by re-serializing the entire network each round
-  /// (the pre-overhaul behavior) instead of the incremental per-slot change
-  /// tracking. Same observable results, O(state) per round; kept flag-gated
-  /// for comparison in bench/round_cost and the equivalence tests. Implies
-  /// full_scan.
-  bool legacy_fixpoint = false;
-
   /// Run every peer's rule phase every round (the pre-scheduler behavior)
-  /// instead of the active-set scheduler. Same observable results; kept
-  /// flag-gated for the equivalence tests and the bench comparison.
+  /// instead of the active-set scheduler. Same observable results; the
+  /// reference oracle of the equivalence tests and the bench comparison.
   bool full_scan = false;
-
-  /// Translation closure (DESIGN.md §6.6, default on): a quiescent skip
-  /// candidate whose cached ops feed a non-skipped owner is demoted to
-  /// emit-only instead of being evicted into replay, and evictions stop
-  /// cascading upstream through the op-sender index. Same observable
-  /// results; kept flag-gated (--no-translate) so bench/round_cost can
-  /// measure the pre-closure tail cost and the lockstep tests can pin
-  /// the equivalence.
-  bool translate_chains = true;
 
   /// Test instrumentation: peers the scheduler would replay run live anyway
   /// and their fresh phase output is compared against the cache; mismatches
@@ -182,8 +165,7 @@ struct EngineOptions {
 };
 
 /// Parses the engine-related command-line flags shared by the bench and
-/// example binaries: --threads N, --full-scan, --legacy-fixpoint,
-/// --no-translate.
+/// example binaries: --threads N, --full-scan.
 [[nodiscard]] EngineOptions engine_options_from_cli(const util::Cli& cli,
                                                     EngineOptions base = {});
 
@@ -211,10 +193,7 @@ class Engine {
   /// resets the scheduler (every peer runs live, reader index rebuilt).
   /// Out-of-band mutations *without* a reset are also safe: the engine's
   /// pre-round scan picks the dirty marks up and wakes the affected peers.
-  void reset_change_tracking() {
-    prev_state_.clear();
-    baseline_ready_ = false;
-  }
+  void reset_change_tracking() { baseline_ready_ = false; }
 
   // -- mid-run scenario hooks (timeline engine, DESIGN.md §7) ---------------
   //
@@ -344,11 +323,6 @@ class Engine {
   [[nodiscard]] bool owner_was_skipped(std::uint32_t owner) const noexcept {
     return owner < skip_.size() && skip_[owner] != 0;
   }
-  /// True when `owner` was skipped in emit-only (boundary) mode by the most
-  /// recent step() -- implies owner_was_skipped (test instrumentation).
-  [[nodiscard]] bool owner_was_boundary(std::uint32_t owner) const noexcept {
-    return owner < boundary_.size() && boundary_[owner] != 0;
-  }
 
   /// Worker-pool hook for subsystems that run their own sharded phases
   /// between rounds on the ENGINE's threads (the request engine's custody
@@ -470,8 +444,7 @@ class Engine {
       shard_op_src_;
   std::function<void(const RoundMetrics&)> observer_;
   RuleActivity activity_;
-  std::vector<std::uint64_t> prev_state_;  // legacy_fixpoint only
-  bool baseline_ready_ = false;            // incremental-tracking baseline
+  bool baseline_ready_ = false;  // incremental-tracking baseline
 
   // Round working set, reused across rounds so a steady-state round
   // allocates nothing (capacity persists between calls).
@@ -501,11 +474,10 @@ class Engine {
   std::vector<std::uint64_t> op_sender_pairs_;  // ditto
   std::vector<std::size_t> sender_counts_, sender_cursor_;  // ditto
   std::vector<std::uint32_t> sender_scatter_;               // ditto
-  std::vector<std::uint32_t> evict_stack_;  // legacy skip-closure worklist
-  /// Translation-closure lazy rule (2) (DESIGN.md §6.6): in a calm
-  /// translate round, owners referenced by a live runner's cached ops are
-  /// NOT evicted up front -- whether the fresh run keeps re-sending each op
-  /// is only knowable after it ran. run_range diffs the fresh output
+  /// Translation-closure lazy rule (2) (DESIGN.md §6.6): in a calm round,
+  /// owners referenced by a live runner's cached ops are NOT evicted up
+  /// front -- whether the fresh run keeps re-sending each op is only
+  /// knowable after it ran. run_range diffs the fresh output
   /// against the cache and collects the owners referenced by *dropped* ops
   /// per shard; apply_deferred_evictions() then replays the still-skipped
   /// ones in the same round (sound: a round's own-slot edits and emissions
@@ -522,8 +494,11 @@ class Engine {
   /// Emission spans of the deferred pass, appended after the shard spans in
   /// route_inflight's walk (deferred ops sit at the tail of ops_).
   std::vector<std::pair<std::uint32_t, std::uint32_t>> tail_op_src_;
-  std::size_t deferred_replays_ = 0;   // this round, for the metric recount
-  std::size_t deferred_boundary_ = 0;  // ditto
+  // This round's deferred-pass counts, for the metric recount: replays,
+  // emit-only injections, and emit-only owners that turned into replays.
+  std::size_t deferred_replays_ = 0;
+  std::size_t deferred_boundary_ = 0;
+  std::size_t deferred_unboundary_ = 0;
   /// Storm mode, re-decided every round: when a majority of live peers is
   /// digest-woken (mass churn / early convergence), recording caches and
   /// registering index entries costs more than it can ever save, so live

@@ -193,7 +193,7 @@ class Network {
   /// True iff some dirty slot's state differs from the digest baseline, i.e.
   /// when serialize_state() would differ from its value at the last baseline
   /// point (equivalence holds up to a 64-bit digest collision, ~2^-64 per
-  /// dirty slot -- the legacy serialize comparison is exact). Clears the
+  /// dirty slot -- a serialize_state() comparison is exact). Clears the
   /// dirty marks and advances the baseline to the current state. O(live
   /// slots) when nothing changed.
   bool consume_round_changes();

@@ -55,7 +55,7 @@ struct ScenarioParams {
 
 /// Parses the scenario-related flags shared by the runner and the benches:
 /// --n, --seed, --ops, --intensity, --replicas plus the engine flags
-/// (--threads, --full-scan, --legacy-fixpoint).
+/// (--threads, --full-scan).
 [[nodiscard]] ScenarioParams scenario_params_from_cli(const util::Cli& cli,
                                                       ScenarioParams base = {});
 

@@ -321,10 +321,8 @@ TEST(Scheduler, GracefulLeaveSchedulesBitIdenticalSerialAndSharded) {
 // Lockstep equivalence of the translating-chain closure through a FULL
 // convergence tail -- the regime dominated by uniformly-translating
 // connection-edge chains -- with randomized churn plus a mid-tail fault
-// window, over {1, 8} threads. Three engines run the same schedule: the
-// default (translation closure), the flag-gated --no-translate eviction
-// cascade, and the full scan; every round all three must agree on the
-// fingerprint and the fixpoint verdict.
+// window: the active scheduler on {1, 8} threads against the full scan,
+// which must agree on the fingerprint and the fixpoint verdict every round.
 //
 // This is also the mid-slide misclassification regression: a chain member
 // wrongly classified as *resting* while its chain is still sliding would
@@ -333,42 +331,36 @@ TEST(Scheduler, GracefulLeaveSchedulesBitIdenticalSerialAndSharded) {
 // closure must also demonstrably engage mid-slide (peers fast-forwarded --
 // skipped or emit-only boundary -- during rounds in which the global state
 // still changed), so the test cannot pass vacuously by never skipping.
+// Every round the emit-only count must stay within the skipped count it is
+// a subset of (an emit-only peer that the deferred pass replays leaves both).
 TEST(Scheduler, TranslatingChainsLockstepFullTailAndNeverMisclassified) {
   for (const unsigned threads : {1U, 8U}) {
     for (std::uint64_t seed : {171ULL, 172ULL}) {
       Engine translate(random_net(130, seed, /*scrambled=*/false),
                        {.threads = threads});
-      Engine evict(random_net(130, seed, /*scrambled=*/false),
-                   {.threads = 1, .translate_chains = false});
       Engine full(random_net(130, seed, /*scrambled=*/false),
                   {.threads = 1, .full_scan = true});
       util::Rng churn_rng(seed * 149);
       std::uint64_t mid_slide_skipped = 0, mid_slide_boundary = 0;
       int quiet = 0;
       for (int r = 0; r < 20000 && quiet < 3; ++r) {
-        if (r > 0 && r % 25 == 0)
-          churn_all({&translate, &evict, &full}, churn_rng);
+        if (r > 0 && r % 25 == 0) churn_all({&translate, &full}, churn_rng);
         if (r == 40) {  // mid-tail fault window; identical default fault
           translate.set_message_loss(0.1);  // seeds + identical op multisets
-          evict.set_message_loss(0.1);      // give identical drop coins
-          full.set_message_loss(0.1);
+          full.set_message_loss(0.1);       // give identical drop coins
         }
         if (r == 48) {
           translate.set_message_loss(0.0);
-          evict.set_message_loss(0.0);
           full.set_message_loss(0.0);
         }
         const auto mt = translate.step();
-        const auto me = evict.step();
         const auto mf = full.step();
         ASSERT_EQ(mt.changed, mf.changed)
             << "threads=" << threads << " seed=" << seed << " round " << r;
-        ASSERT_EQ(me.changed, mf.changed)
+        ASSERT_EQ(translate.network().state_fingerprint(),
+                  full.network().state_fingerprint())
             << "threads=" << threads << " seed=" << seed << " round " << r;
-        const auto fp = full.network().state_fingerprint();
-        ASSERT_EQ(translate.network().state_fingerprint(), fp)
-            << "threads=" << threads << " seed=" << seed << " round " << r;
-        ASSERT_EQ(evict.network().state_fingerprint(), fp)
+        ASSERT_LE(mt.boundary_peers, mt.skipped_peers)
             << "threads=" << threads << " seed=" << seed << " round " << r;
         if (mt.changed) {
           mid_slide_skipped += mt.skipped_peers;
