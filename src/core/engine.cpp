@@ -20,6 +20,15 @@ bool fault_coin(std::uint64_t seed, std::uint64_t round, std::uint64_t index,
       util::mix64(seed ^ util::mix64(round * 0x9E3779B97F4A7C15ULL + index)),
       p);
 }
+
+// Hash of a delayed assignment for the dropped-op diff's open-addressing set.
+std::size_t op_hash(const DelayedOp& op) noexcept {
+  std::uint64_t h = ((static_cast<std::uint64_t>(op.target) << 32) |
+                     op.payload) *
+                    0x9E3779B97F4A7C15ULL;
+  h ^= static_cast<std::uint64_t>(op.kind) * 0xC2B2AE3D27D4EB4FULL;
+  return static_cast<std::size_t>(h ^ (h >> 32));
+}
 }  // namespace
 
 EngineOptions engine_options_from_cli(const util::Cli& cli,
@@ -205,7 +214,7 @@ void Engine::compute_skip_set() {
   //       must emit -- which under the TRANSLATION CLOSURE (DESIGN.md §6.6)
   //       does not require replaying: the peer is demoted to emit-only
   //       ("boundary") -- still skipped, but its cached ops are
-  //       injected verbatim into the round's op stream by run_range. The
+  //       delivered verbatim at commit (filtered per op, see there). The
   //       injection is exactly what a replay would emit (the cache IS the
   //       pure phase output), and omitting the replay's delta application
   //       is sound because the peer's own removal/re-add cancellation is
@@ -307,7 +316,14 @@ void Engine::compute_skip_set() {
   // emissions from entering the queue, and the active-mode queue would
   // diverge from the full scan's (the queue's emptiness gates fixpoint
   // detection). Keyed on the CLASS being nonzero, not a concrete draw --
-  // jitter re-rolls every round.
+  // jitter re-rolls every round. Its referents replay with it: the owners
+  // (target and payload) of every nonzero-class op a peer with a valid cache
+  // sends -- replayed or live -- are evicted. A delayed re-add cannot cancel
+  // its target's recorded removal in the round it is sent, so the target
+  // must apply that removal as the full scan does. Rule (3) alone misses it:
+  // it sees the op only once it is queued, and nothing is queued yet in the
+  // first round of a new model or datacenter assignment (nor after a run of
+  // zero draws of a jittered class).
   {
     std::size_t w = 0;
     for (const std::uint32_t o : inflight_ref_owners_) {
@@ -322,20 +338,20 @@ void Engine::compute_skip_set() {
   }
   if (latency_installed_ && !latency_.trivial())
     for (std::uint32_t o = 0; o < n; ++o) {
-      if (!skip_[o]) continue;
       PeerCache& pc = cache_[o];
+      if (!pc.valid || !net_.owner_alive(o)) continue;
       if (pc.delay_memo_epoch != latency_epoch_) {
-        const std::uint8_t src = datacenter_of(o);
-        pc.has_nonzero_delay = false;
-        for (const DelayedOp& op : pc.ops)
-          if (latency_.cls(src, datacenter_of(owner_of(op.target)))
-                  .nonzero()) {
-            pc.has_nonzero_delay = true;
-            break;
-          }
+        pc.has_nonzero_delay = !zero_delay_ops(o, pc.ops);
         pc.delay_memo_epoch = latency_epoch_;
       }
-      if (pc.has_nonzero_delay) evict(o);
+      if (!pc.has_nonzero_delay) continue;
+      evict(o);
+      const std::uint8_t src = datacenter_of(o);
+      for (const DelayedOp& op : pc.ops)
+        if (latency_.cls(src, datacenter_of(owner_of(op.target))).nonzero()) {
+          evict(owner_of(op.target));
+          evict(owner_of(op.payload));
+        }
     }
   // Translation closure, boundary marking (rule (1) without a cascade):
   // every still-skipped sender whose cached ops reference an owner running
@@ -462,13 +478,11 @@ void Engine::run_range(std::size_t begin, std::size_t end,
         if (boundary_[owner]) {
           // Emit-only (translation closure, DESIGN.md §6.6): a downstream
           // owner runs this round, so the peer's cached ops must reach the
-          // commit -- inject them verbatim, exactly the emission a replay
-          // would produce. Deliveries into still-skipped targets are
-          // duplicate set insertions: no-ops that leave digests and dirty
-          // marks untouched, so no spurious wakes follow.
+          // commit -- exactly the emission a replay would produce. Commit
+          // reads them from the cache and delivers only the ops that can
+          // still change a set (see the emit-only pass there).
           ++shard_boundary_[shard];
-          out.insert(out.end(), pc->ops.begin(), pc->ops.end());
-          note_src();
+          shard_emit_only_[shard].push_back(owner);
         }
         continue;
       }
@@ -550,16 +564,28 @@ void Engine::run_range(std::size_t begin, std::size_t end,
             pend.insert(pend.end(), pc->op_owners.begin(),
                         pc->op_owners.end());
           } else {
-            auto& old_ops = shard_diff_old_[shard];
-            auto& new_ops = shard_diff_new_[shard];
-            old_ops.assign(pc->ops.begin(), pc->ops.end());
-            new_ops.assign(fresh_begin, out.end());
-            std::sort(old_ops.begin(), old_ops.end());
-            std::sort(new_ops.begin(), new_ops.end());
-            std::size_t j = 0;
-            for (const DelayedOp& op : old_ops) {
-              while (j < new_ops.size() && new_ops[j] < op) ++j;
-              if (j < new_ops.size() && !(op < new_ops[j])) continue;
+            // Fresh ops into an open-addressing set (load <= 1/2, empty
+            // marked by an invalid target), then one probe per cached op.
+            auto& set = shard_fresh_set_[shard];
+            const std::size_t fresh =
+                static_cast<std::size_t>(out.end() - fresh_begin);
+            std::size_t cap = 16;
+            while (cap < 2 * fresh) cap <<= 1;
+            const std::size_t mask = cap - 1;
+            set.assign(cap, DelayedOp{kInvalidSlot, EdgeKind::kUnmarked,
+                                      kInvalidSlot});
+            for (auto it = fresh_begin; it != out.end(); ++it) {
+              assert(it->target != kInvalidSlot);
+              std::size_t h = op_hash(*it) & mask;
+              while (set[h].target != kInvalidSlot && set[h] != *it)
+                h = (h + 1) & mask;
+              set[h] = *it;
+            }
+            for (const DelayedOp& op : pc->ops) {
+              std::size_t h = op_hash(op) & mask;
+              while (set[h].target != kInvalidSlot && set[h] != op)
+                h = (h + 1) & mask;
+              if (set[h].target != kInvalidSlot) continue;  // still sent
               pend.push_back(owner_of(op.target));
               pend.push_back(owner_of(op.payload));
             }
@@ -632,16 +658,18 @@ void Engine::run_peers() {
     // first `shards`, in case a previous round used more shards.
     for (auto& v : shard_op_src_) v.clear();
     if (shard_op_src_.size() < shards) shard_op_src_.resize(shards);
-    tail_op_src_.clear();
   }
+  // Commit walks every emit-only list, so all of them are cleared, not just
+  // the first `shards` (a previous round may have used more shards).
+  for (auto& v : shard_emit_only_) v.clear();
+  if (shard_emit_only_.size() < shards) shard_emit_only_.resize(shards);
   if (lazy_evict_round_) {
     // Clear every pending list (apply_deferred_evictions walks them all)
     // in case a previous round used more shards.
     for (auto& v : shard_pending_evict_) v.clear();
     if (shard_pending_evict_.size() < shards) {
       shard_pending_evict_.resize(shards);
-      shard_diff_old_.resize(shards);
-      shard_diff_new_.resize(shards);
+      shard_fresh_set_.resize(shards);
     }
   }
   if (serial) {
@@ -702,13 +730,12 @@ void Engine::apply_deferred_evictions() {
   for (const std::uint32_t d : phase_b_) {
     if (tracing)
       tr.note({round_, d, 0, 0, 0, 0, util::TraceKind::kDeferredEvict});
-    std::size_t base = ops_.size();
+    // Appended to the tail of ops_ with no emission span: d was a skip
+    // candidate, so its ops are delay-0 (see route_inflight).
+    assert(!latency_round_ || zero_delay_ops(d, cache_[d].ops));
     replay_peer(d, cache_[d], ops_, discard);
     ++deferred_replays_;
     shard_ran_[0].push_back(d);
-    if (latency_round_ && ops_.size() > base)
-      tail_op_src_.emplace_back(
-          d, static_cast<std::uint32_t>(ops_.size() - base));
     // The replay applies d's recorded removals, so d's cancellation
     // partners must emit their re-adds: inject every still-skipped sender
     // emit-only. No cascade -- an injected sender's own pair stays
@@ -719,14 +746,17 @@ void Engine::apply_deferred_evictions() {
       ++deferred_boundary_;
       if (tracing)
         tr.note({round_, u, d, 0, 0, 0, util::TraceKind::kBoundaryInject});
-      const PeerCache& uc = cache_[u];
-      base = ops_.size();
-      ops_.insert(ops_.end(), uc.ops.begin(), uc.ops.end());
-      if (latency_round_ && ops_.size() > base)
-        tail_op_src_.emplace_back(
-            u, static_cast<std::uint32_t>(ops_.size() - base));
+      shard_emit_only_[0].push_back(u);
     }
   }
+}
+
+bool Engine::zero_delay_ops(std::uint32_t sender,
+                            const std::vector<DelayedOp>& ops) const {
+  const std::uint8_t src = datacenter_of(sender);
+  return std::none_of(ops.begin(), ops.end(), [&](const DelayedOp& op) {
+    return latency_.cls(src, datacenter_of(owner_of(op.target))).nonzero();
+  });
 }
 
 WorkerPool& Engine::shared_worker_pool(unsigned ways) {
@@ -743,7 +773,11 @@ void Engine::route_inflight() {
   // order. Nonzero-delay messages are enqueued d rounds out. The sender of
   // each op span comes from the per-shard (owner, count) runs, walked in
   // shard order -- which equals the serial ascending-owner emission order,
-  // so the routed sequence is thread-count invariant.
+  // so the routed sequence is thread-count invariant. Only live runners and
+  // replays can send on a nonzero delay class: skip rule (4) keeps every
+  // such peer out of the skip set, so the deferred pass's replays (the tail
+  // of ops_) and the emit-only owners (delivered by commit straight from
+  // their caches) are delay-0 traffic by construction.
   route_buf_.clear();
   if (!inflight_.empty()) {
     route_buf_.swap(inflight_.front());
@@ -774,9 +808,9 @@ void Engine::route_inflight() {
   };
   for (const auto& spans : shard_op_src_)
     for (const auto& [owner, count] : spans) route_span(owner, count);
-  // The deferred pass emits at the tail of ops_, after every shard span.
-  for (const auto& [owner, count] : tail_op_src_) route_span(owner, count);
-  assert(idx == ops_.size());
+  route_buf_.insert(route_buf_.end(),
+                    ops_.begin() + static_cast<std::ptrdiff_t>(idx),
+                    ops_.end());
   ops_.swap(route_buf_);
 }
 
@@ -817,6 +851,7 @@ RoundMetrics Engine::step() {
       compute_skip_set();
     }
   }
+  partition_grace_ = false;  // the grace round, if any, is this one
 
   ops_.clear();
   // rl_next_/rr_next_ carry values only for the slots of owners that ran
@@ -902,6 +937,8 @@ RoundMetrics Engine::step() {
   //     the O(ops log ops) sorts cost more than they save.
   //   * lossy: sort + dedup for the deterministic per-index drop coins, then
   //     group by (target, kind) and bulk-merge each group in one pass.
+  // Emit-only owners only exist in skipping rounds, which are loss-free and
+  // cut-free, so their ops are delivered by the loss-free pipeline alone.
   {
   util::ScopedPhase commit_span(util::Phase::kCommit);
   auto resolve = [this](Slot s) -> Slot {
@@ -910,17 +947,43 @@ RoundMetrics Engine::step() {
     if (!net_.owner_alive(owner)) return kInvalidSlot;
     return slot_of(owner, net_.max_live_index(owner));
   };
+  const auto deliver = [&](const DelayedOp& op) {
+    const Slot target = resolve(op.target);
+    const Slot payload = resolve(op.payload);
+    if (target == kInvalidSlot || payload == kInvalidSlot) return;
+    net_.add_edge(target, op.kind, payload);
+  };
   if (opt_.message_loss <= 0.0) {
     for (const DelayedOp& op : ops_) {
       if (partition_active_ && partition_cut(op.target, op.payload)) {
         ++partition_dropped_;
         continue;
       }
-      const Slot target = resolve(op.target);
-      const Slot payload = resolve(op.payload);
-      if (target == kInvalidSlot || payload == kInvalidSlot) continue;
-      net_.add_edge(target, op.kind, payload);
+      deliver(op);
     }
+    // Emit-only delivery (DESIGN.md §6.6), filtered per op. An owner the
+    // deferred pass replayed lost its boundary flag and already emitted
+    // through ops_. Of the rest, an op whose target owner and payload owner
+    // both still rest is a duplicate insertion -- the same argument that lets
+    // a fully skipped peer's ops be omitted -- and a duplicate add is a
+    // no-op (Network::add_edge), so it is not delivered at all.
+    assert(!partition_active_ ||
+           std::all_of(shard_emit_only_.begin(), shard_emit_only_.end(),
+                       [](const auto& v) { return v.empty(); }));
+    for (const auto& emit_only : shard_emit_only_)
+      for (const std::uint32_t u : emit_only) {
+        if (!boundary_[u]) continue;
+        assert(!latency_round_ || zero_delay_ops(u, cache_[u].ops));
+        for (const DelayedOp& op : cache_[u].ops) {
+          if (skip_[owner_of(op.target)] && skip_[owner_of(op.payload)]) {
+            assert(resolve(op.target) == resolve(op.payload) ||
+                   net_.has_edge(resolve(op.target), op.kind,
+                                 resolve(op.payload)));
+            continue;
+          }
+          deliver(op);
+        }
+      }
   } else {
     std::sort(ops_.begin(), ops_.end());
     ops_.erase(std::unique(ops_.begin(), ops_.end()), ops_.end());

@@ -38,13 +38,14 @@
 // every round, O(n) peers for the O(n) rounds of the convergence tail.
 // Instead of evicting, the scheduler demotes such a peer to EMIT-ONLY
 // ("boundary"): it stays skipped -- no rules, no replay, no delta, no
-// publish -- and only its cached ops are injected verbatim into the round's
-// op stream. Injection is exactly a replay minus the delta application and
-// the rl/rr republish, and both omissions are sound: the peer's own
-// removal/re-add pair is suppressed as a pair (its upstream is skipped
-// too), and a duplicate delivery into a skipped target is a set-level
-// no-op that leaves digests untouched (network.cpp documents that
-// guarantee). Evictions never propagate upstream, so each round's real work
+// publish -- and only its cached ops are delivered at commit. Injection is
+// exactly a replay minus the delta application and the rl/rr republish, and
+// both omissions are sound: the peer's own removal/re-add pair is
+// suppressed as a pair (its upstream is skipped too), and a duplicate
+// delivery into a skipped target is a set-level no-op that leaves digests
+// untouched (network.cpp documents that guarantee) -- which is also why
+// commit drops, per op, every cached op whose target and payload owners
+// both rest. Evictions never propagate upstream, so each round's real work
 // tracks the O(frontier) peers whose state genuinely moves, and the
 // exact-fixpoint tail costs O(total chain length) live peer-rounds instead
 // of O(n * rounds). At
@@ -96,8 +97,8 @@ struct RoundMetrics {
   std::size_t skipped_peers = 0;
   /// Subset of skipped_peers demoted to emit-only by the translation
   /// closure (DESIGN.md §6.6): still skipped -- no rules, no replay, no
-  /// delta, no publish -- but their cached ops were injected into the
-  /// round's op stream because a downstream owner runs live this round.
+  /// delta, no publish -- but their cached ops were delivered at commit
+  /// because a downstream owner runs this round.
   std::size_t boundary_peers = 0;
   /// Delayed assignments still in the latency model's in-flight queue at the
   /// end of the round (0 without a nontrivial model, DESIGN.md §8).
@@ -224,15 +225,18 @@ class Engine {
   /// fault probability is nonzero the resting-chain skip is disabled, exactly
   /// as if the engine had been constructed with the value. Setting a knob
   /// back to zero RE-ARMS the skip immediately: skip_possible() reads the
-  /// live values, and re-arming right at the window edge is sound because
-  /// every drop or missed activation during the window left a digest trail
-  /// that keeps the affected peers woken -- a peer that is quiescent in the
-  /// first fault-free round is quiescent for exactly the same reason as one
+  /// live values. Re-arming right at the window edge relies on every drop or
+  /// missed activation during the window having left a digest trail that
+  /// keeps the affected peers woken -- a peer that is quiescent in the first
+  /// fault-free round is then quiescent for exactly the same reason as one
   /// that never saw the window (tests/test_scheduler.cpp pins a post-window
-  /// fixpoint round to the never-faulted cost). Messages still queued from
-  /// the window need no grace period either: the rule-(3) eviction keeps
-  /// every owner an in-flight message references out of the skip set until
-  /// the queue drains.
+  /// fixpoint round to the never-faulted cost). Loss coins and sleep coins
+  /// are re-drawn per delivery and round, so the trail is left; a partition
+  /// cut is not -- it drops the same delivery every round, which is why
+  /// clear_partition() arms a one-round grace instead. Messages still queued
+  /// from the window need no grace period: the rule-(3) eviction keeps every
+  /// owner an in-flight message references out of the skip set until the
+  /// queue drains.
   void set_message_loss(double p) noexcept { opt_.message_loss = p; }
   void set_sleep_probability(double p) noexcept { opt_.sleep_probability = p; }
 
@@ -243,8 +247,14 @@ class Engine {
   /// default to side 0. Existing edges are untouched -- only message delivery
   /// is cut, matching the engine's message-level fault model.
   void set_partition(std::vector<std::uint8_t> group_of_owner);
-  /// Ends the partition window.
+  /// Ends the partition window. The next step() is a grace round in which
+  /// no peer is skipped (DESIGN.md §7.3): a cut drops the same cross-cut
+  /// delivery every round, so a partitioned steady state leaves no digest
+  /// trail, and a resting sender would otherwise never re-emit the op the
+  /// full scan now delivers. In the grace round every quiescent peer replays
+  /// and re-emits; the deliveries that land leave the trail from then on.
   void clear_partition() noexcept {
+    if (partition_active_) partition_grace_ = true;
     partition_active_ = false;
     partition_group_.clear();
   }
@@ -405,6 +415,8 @@ class Engine {
   std::uint64_t partition_dropped_ = 0;
   std::uint64_t replay_mismatches_ = 0;
   bool partition_active_ = false;
+  /// Set by clear_partition(); the next step() skips no peer, then clears it.
+  bool partition_grace_ = false;
   std::vector<std::uint8_t> partition_group_;  // per owner; absent = side 0
 
   // Latency model state (DESIGN.md §8). inflight_[k] holds the delayed
@@ -440,6 +452,8 @@ class Engine {
   // Per shard: (owner, op count) runs recording which peer emitted which
   // contiguous span of the shard's op queue -- the sender is what selects
   // the delay class. Only maintained while a latency model is installed.
+  // Emit-only owners and the deferred pass need no spans: every op they
+  // emit is delay-0 (see route_inflight).
   std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
       shard_op_src_;
   std::function<void(const RoundMetrics&)> observer_;
@@ -463,9 +477,13 @@ class Engine {
   std::vector<std::uint8_t> wake_;        // per owner: must run live
   std::vector<std::uint8_t> skip_;        // per owner: resting, skip outright
   // Per owner: skipped in emit-only mode (translation closure) -- the
-  // cached ops are injected into the round's op stream, nothing else runs.
-  // Only ever set for owners with skip_[o] == 1.
+  // cached ops are delivered at commit, nothing else runs. Only ever set for
+  // owners with skip_[o] == 1.
   std::vector<std::uint8_t> boundary_;
+  // Per shard: the emit-only owners of this round, in the order run_range
+  // met them; the deferred pass appends its injections to shard 0. Commit
+  // walks their cached ops after ops_ (DESIGN.md §6.6, emit-only delivery).
+  std::vector<std::vector<std::uint32_t>> shard_emit_only_;
   // op_senders_[o] = sorted owner ids whose cached ops reference o (the
   // reverse of PeerCache::op_owners). Append-only over-approximation like
   // the network's reader index; rebuilt from scratch at an epoch reset.
@@ -488,12 +506,10 @@ class Engine {
   /// reference neighborhood of every woken peer.
   bool lazy_evict_round_ = false;
   std::vector<std::vector<std::uint32_t>> shard_pending_evict_;  // per shard
-  // Per-shard scratch for the dropped-op diff (runs inside run_range).
-  std::vector<std::vector<DelayedOp>> shard_diff_old_, shard_diff_new_;
+  // Per-shard scratch for the dropped-op diff (runs inside run_range): an
+  // open-addressing set of the fresh ops, probed once per cached op.
+  std::vector<std::vector<DelayedOp>> shard_fresh_set_;
   std::vector<std::uint32_t> phase_b_;          // deferred replays, in order
-  /// Emission spans of the deferred pass, appended after the shard spans in
-  /// route_inflight's walk (deferred ops sit at the tail of ops_).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> tail_op_src_;
   // This round's deferred-pass counts, for the metric recount: replays,
   // emit-only injections, and emit-only owners that turned into replays.
   std::size_t deferred_replays_ = 0;
@@ -524,13 +540,13 @@ class Engine {
 
   [[nodiscard]] bool active_mode() const noexcept { return !opt_.full_scan; }
   /// Skipping requires rounds to be repeatable: the per-round fault coins
-  /// (activation, loss), an active partition cut and the paranoid
-  /// cross-check all force every quiescent peer through the replay path
-  /// instead.
+  /// (activation, loss), an active partition cut, the grace round after a
+  /// cut and the paranoid cross-check all force every quiescent peer
+  /// through the replay path instead.
   [[nodiscard]] bool skip_possible() const noexcept {
     return active_mode() && opt_.sleep_probability <= 0.0 &&
            opt_.message_loss <= 0.0 && !partition_active_ &&
-           !opt_.paranoid_replay;
+           !partition_grace_ && !opt_.paranoid_replay;
   }
   [[nodiscard]] std::uint8_t partition_side(std::uint32_t o) const noexcept {
     return o < partition_group_.size() ? partition_group_[o] : 0;
@@ -554,6 +570,11 @@ class Engine {
   void compute_skip_set();
   void apply_deferred_evictions();
   void route_inflight();
+  /// True when none of `ops`, sent by `sender`, travels on a nonzero delay
+  /// class (skip rule (4), and the debug checks of the delay-0 paths that
+  /// bypass route_inflight).
+  [[nodiscard]] bool zero_delay_ops(std::uint32_t sender,
+                                    const std::vector<DelayedOp>& ops) const;
   void note_op_sender(std::uint32_t referenced, std::uint32_t sender);
   void rebuild_flow_indices();
 };

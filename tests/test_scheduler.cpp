@@ -452,11 +452,14 @@ TEST(Scheduler, FaultWindowClosureReArmsRestingSkip) {
 
 // -- multi-datacenter latency model (DESIGN.md §8) ---------------------------
 
-// Mixed delay classes: datacenter by owner parity, asymmetric cross-dc
-// delays with jitter on one direction.
-void install_mixed_latency(Engine& e, std::uint64_t jitter_seed) {
+// Mixed delay classes: every `stride`-th owner in datacenter 1 (by default
+// datacenter by owner parity), asymmetric cross-dc delays with jitter on one
+// direction.
+void install_mixed_latency(Engine& e, std::uint64_t jitter_seed,
+                           std::uint32_t stride = 2) {
   std::vector<std::uint8_t> dc(e.network().owner_count());
-  for (std::uint32_t o = 0; o < dc.size(); ++o) dc[o] = o % 2;
+  for (std::uint32_t o = 0; o < dc.size(); ++o)
+    dc[o] = o % stride == stride - 1;
   e.assign_datacenters(std::move(dc));
   e.set_latency_model(LatencyModel(
       2,
@@ -467,52 +470,68 @@ void install_mixed_latency(Engine& e, std::uint64_t jitter_seed) {
 // Scheduler soundness under heterogeneous link delays: with mixed delay
 // classes installed, randomized churn rounds must stay bit-identical to the
 // flag-gated full scan -- including the in-flight queue population, which
-// gates the fixpoint verdict -- serial and sharded.
+// gates the fixpoint verdict -- serial and sharded. Two datacenter layouts:
+// parity (most traffic crosses the slow link, the queue is full) and one
+// owner in 16 in datacenter 1 (most peers send delay-0 only, so they rest or
+// go emit-only around the slow senders, and the emit-only commit path that
+// bypasses the queue runs). The sparse layout is also the regression for
+// the first round of a new model: a delayed re-add cannot cancel its
+// target's removal in the round it is sent, so the target must replay.
 TEST(Scheduler, LatencyMixedClassesActiveVsFullScanBitIdentical) {
   for (const unsigned threads : {1U, 8U}) {
-    for (std::uint64_t seed : {151ULL, 152ULL}) {
-      Engine active(random_net(70, seed, /*scrambled=*/false),
-                    {.threads = threads});
-      Engine full(random_net(70, seed, /*scrambled=*/false),
-                  {.threads = 1, .full_scan = true});
-      // Stabilize first: jittered delays keep their whole traffic region
-      // genuinely changing (the wobble is real state change, not scheduler
-      // pessimism), so quiescent pockets only exist around a steady start.
-      const auto spec = StableSpec::compute(active.network());
-      RunOptions ropt;
-      ropt.max_rounds = 20000;
-      ASSERT_TRUE(run_to_stable(active, spec, ropt).stabilized);
-      ASSERT_TRUE(run_to_stable(full, spec, ropt).stabilized);
-      install_mixed_latency(active, seed * 3);
-      install_mixed_latency(full, seed * 3);
-      util::Rng churn_rng(seed * 137);
-      std::uint64_t avoided = 0, inflight_seen = 0;
-      for (int r = 0; r < 60; ++r) {
-        if (r > 0 && r % 9 == 0) churn_both(active, full, churn_rng);
-        const auto ma = active.step();
-        const auto mf = full.step();
-        avoided += ma.replayed_peers + ma.skipped_peers;
-        inflight_seen += active.inflight_message_count();
-        // Refcount bookkeeping == ground-truth queue walk, in both engines.
-        ASSERT_EQ(active.inflight_refcount_owners(),
-                  active.inflight_referenced_owners())
-            << "threads=" << threads << " seed=" << seed << " round " << r;
-        ASSERT_EQ(full.inflight_refcount_owners(),
-                  full.inflight_referenced_owners())
-            << "threads=" << threads << " seed=" << seed << " round " << r;
-        ASSERT_EQ(ma.changed, mf.changed)
-            << "threads=" << threads << " seed=" << seed << " round " << r;
-        ASSERT_EQ(active.inflight_message_count(),
-                  full.inflight_message_count())
-            << "threads=" << threads << " seed=" << seed << " round " << r;
-        ASSERT_EQ(active.network().state_fingerprint(),
-                  full.network().state_fingerprint())
-            << "threads=" << threads << " seed=" << seed << " round " << r;
+    std::uint64_t boundary = 0;
+    for (const std::uint32_t stride : {2U, 16U}) {
+      for (std::uint64_t seed : {151ULL, 152ULL}) {
+        Engine active(random_net(70, seed, /*scrambled=*/false),
+                      {.threads = threads});
+        Engine full(random_net(70, seed, /*scrambled=*/false),
+                    {.threads = 1, .full_scan = true});
+        // Stabilize first: jittered delays keep their whole traffic region
+        // genuinely changing (the wobble is real state change, not scheduler
+        // pessimism), so quiescent pockets only exist around a steady start.
+        const auto spec = StableSpec::compute(active.network());
+        RunOptions ropt;
+        ropt.max_rounds = 20000;
+        ASSERT_TRUE(run_to_stable(active, spec, ropt).stabilized);
+        ASSERT_TRUE(run_to_stable(full, spec, ropt).stabilized);
+        install_mixed_latency(active, seed * 3, stride);
+        install_mixed_latency(full, seed * 3, stride);
+        util::Rng churn_rng(seed * 137);
+        std::uint64_t avoided = 0, inflight_seen = 0;
+        for (int r = 0; r < 60; ++r) {
+          if (r > 0 && r % 9 == 0) churn_both(active, full, churn_rng);
+          const auto ma = active.step();
+          const auto mf = full.step();
+          avoided += ma.replayed_peers + ma.skipped_peers;
+          boundary += ma.boundary_peers;
+          inflight_seen += active.inflight_message_count();
+          const auto where = [&] {
+            return ::testing::Message() << "threads=" << threads
+                                      << " stride=" << stride
+                                      << " seed=" << seed << " round " << r;
+          };
+          // Refcount bookkeeping == ground-truth queue walk, in both engines.
+          ASSERT_EQ(active.inflight_refcount_owners(),
+                    active.inflight_referenced_owners())
+              << where();
+          ASSERT_EQ(full.inflight_refcount_owners(),
+                    full.inflight_referenced_owners())
+              << where();
+          ASSERT_EQ(ma.changed, mf.changed) << where();
+          ASSERT_EQ(active.inflight_message_count(),
+                    full.inflight_message_count())
+              << where();
+          ASSERT_EQ(active.network().state_fingerprint(),
+                    full.network().state_fingerprint())
+              << where();
+        }
+        // The run must have exercised both the queue and the scheduler.
+        EXPECT_GT(inflight_seen, 0U) << "threads=" << threads;
+        EXPECT_GT(avoided, 0U) << "threads=" << threads;
       }
-      // The run must have exercised both the queue and the scheduler.
-      EXPECT_GT(inflight_seen, 0U) << "threads=" << threads;
-      EXPECT_GT(avoided, 0U) << "threads=" << threads;
     }
+    // Emit-only owners took the commit path under a nontrivial model.
+    EXPECT_GT(boundary, 0U) << "threads=" << threads;
   }
 }
 
