@@ -18,6 +18,8 @@
 //
 // Exit code 0 iff every convergence checkpoint of every executed scenario
 // passed -- CI runs two scenarios through this binary and relies on it.
+// Exit code 2 on a usage error or an unwritable --csv, --profile-csv,
+// --trace-out or --trace-chrome path.
 
 #include <cstdio>
 #include <fstream>
@@ -128,44 +130,42 @@ struct ObsConfig {
   }
 
   /// Emits the per-run artifacts and resets the collectors so --all runs
-  /// do not bleed into each other. Returns false on an unwritable path.
+  /// do not bleed into each other. An unwritable path is reported on stderr
+  /// by name and makes the result false.
   bool emit(const sim::ScenarioOutcome& out) const {
     bool ok = true;
+    // Opens `path` and hands the stream to `write`; false when unwritable.
+    const auto write_file = [&ok](const std::string& path, auto&& write) {
+      std::ofstream f(path);
+      if (!f) {
+        std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+        ok = false;
+        return false;
+      }
+      write(f);
+      return true;
+    };
     if (metrics) {
       std::printf("metrics (end-of-run registry snapshot):\n");
       util::MetricsRegistry::print_snapshot(out.metrics, std::cout);
     }
-    if (profile) util::Profiler::instance().print_table(std::cout);
-    if (!profile_csv.empty()) {
-      std::ofstream f(profile_csv);
-      if (f)
-        util::Profiler::instance().write_csv(f);
-      else
-        ok = false;
+    util::Profiler& prof = util::Profiler::instance();
+    if (profile) prof.print_table(std::cout);
+    if (!profile_csv.empty() &&
+        write_file(profile_csv, [&](std::ostream& f) { prof.write_csv(f); }))
       std::printf("(profile csv written to %s)\n", profile_csv.c_str());
-    }
     const util::Tracer& tr = util::Tracer::instance();
-    if (!trace_jsonl.empty()) {
-      std::ofstream f(trace_jsonl);
-      if (f)
-        tr.write_jsonl(f);
-      else
-        ok = false;
+    if (!trace_jsonl.empty() &&
+        write_file(trace_jsonl, [&](std::ostream& f) { tr.write_jsonl(f); }))
       std::printf("(trace: %llu events recorded, %llu retained -> %s)\n",
                   static_cast<unsigned long long>(tr.recorded()),
                   static_cast<unsigned long long>(tr.size()),
                   trace_jsonl.c_str());
-    }
-    if (!trace_chrome.empty()) {
-      std::ofstream f(trace_chrome);
-      if (f)
-        tr.write_chrome(f);
-      else
-        ok = false;
+    if (!trace_chrome.empty() &&
+        write_file(trace_chrome, [&](std::ostream& f) { tr.write_chrome(f); }))
       std::printf("(chrome trace written to %s -- load at ui.perfetto.dev)\n",
                   trace_chrome.c_str());
-    }
-    util::Profiler::instance().reset();
+    prof.reset();
     util::Tracer::instance().clear();
     return ok;
   }
@@ -187,8 +187,7 @@ int run_one(const sim::ScenarioInfo& info, const sim::ScenarioParams& params,
   const auto out = sim::run_scenario(sc, params, csv);
   print_outcome(out);
   if (csv) std::printf("(csv series written to %s)\n", csv_path.c_str());
-  if (!obs.emit(out))
-    std::fprintf(stderr, "warning: could not write an observability file\n");
+  if (!obs.emit(out)) return 2;
   return out.ok ? 0 : 1;
 }
 
@@ -223,10 +222,15 @@ int main(int argc, char** argv) {
     // n=100k when run individually, which is not a smoke run.
     if (params.n == 0) params.n = 48;
     int failures = 0;
-    for (const auto& info : registry)
-      failures += run_one(info, params, "", obs) != 0;
+    bool unwritable = false;
+    for (const auto& info : registry) {
+      const int rc = run_one(info, params, "", obs);
+      failures += rc != 0;
+      unwritable = unwritable || rc == 2;
+    }
     std::printf("%d/%zu scenarios passed\n",
                 static_cast<int>(registry.size()) - failures, registry.size());
+    if (unwritable) return 2;
     return failures == 0 ? 0 : 1;
   }
 

@@ -5,9 +5,9 @@
 // requests/sec over a steady-state window (warmup first, so the pipeline is
 // full), NOT rounds-to-completion of a one-shot batch. Per cell it checks
 // the open-loop stability condition (drain rate >= arrival rate: completions
-// in the window keep up with arrivals) and, per size, that the batched
-// sharded path, the flag-gated per-request-walk baseline, and every
-// {active-set, full-scan} x {1, T threads} combination produce bit-identical
+// in the window keep up with arrivals) and, per size, that the sharded
+// engine on 1 and on T threads, and every {active-set, full-scan} x
+// {1, T threads} combination of a shorter verify run, produce bit-identical
 // completion fingerprints -- the determinism contract under production
 // traffic. Exit code is nonzero if any cell is unsteady, fails to drain
 // within its round guard, or any fingerprint diverges, so CI can run a small
@@ -35,8 +35,9 @@
 // requests per round, which holds tens of thousands of requests in flight
 // at n = 100k. Traffic is skewed like production lookups: --hot-frac of
 // arrivals target a --hot-keys hot set (0 for uniform keys). Sizes up to
-// 1M are supported (--sizes 1000000); the walk baseline dominates the wall
-// clock there.
+// 1M are supported (--sizes 1000000); there the bring-up of the fixpoint
+// overlay and the full-scan verify cells dominate the wall clock (pass
+// --no-verify to skip the latter).
 
 #include <algorithm>
 #include <cinttypes>
@@ -76,7 +77,7 @@ struct Traffic {
 };
 
 CellResult run_cell(const core::Network& base, std::size_t n,
-                    unsigned threads, bool full_scan, bool walk,
+                    unsigned threads, bool full_scan,
                     const Traffic& traffic, std::uint64_t warmup,
                     std::uint64_t rounds, std::uint64_t seed) {
   core::EngineOptions eopt;
@@ -85,7 +86,6 @@ CellResult run_cell(const core::Network& base, std::size_t n,
   core::Engine engine(base, eopt);
   net::RequestOptions ropt;
   ropt.seed = seed ^ 0x7412E57ULL ^ n;
-  ropt.per_request_walk = walk;
   // Bounded-memory configuration (DESIGN.md §10): totals and the
   // fingerprint are exact regardless of these caps.
   ropt.completion_cap = 4096;
@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
       "sharded request engine at production traffic volume, DESIGN.md §10");
   util::Table table({"n", "mode", "scan", "threads", "rate/r", "issued",
                      "done", "inflight", "steady", "p50", "p99", "max",
-                     "req/s", "ms/round", "speedup"});
+                     "req/s", "ms/round"});
   bool all_ok = true;
   for (const std::size_t n : cfg.sizes) {
     Traffic traffic;
@@ -210,16 +210,12 @@ int main(int argc, char** argv) {
     struct Mode {
       const char* name;
       unsigned threads;
-      bool walk;
     };
-    const Mode modes[] = {{"walk", cfg.threads, true},
-                          {"sharded", 1, false},
-                          {"sharded", cfg.threads, false}};
+    const Mode modes[] = {{"sharded", 1}, {"sharded", cfg.threads}};
     std::vector<CellResult> cells;
     for (const Mode& m : modes)
       cells.push_back(run_cell(base, n, m.threads, /*full_scan=*/false,
-                               m.walk, traffic, warmup, rounds, cfg.seed));
-    const double walk_rps = cells.front().rps;
+                               traffic, warmup, rounds, cfg.seed));
     for (std::size_t c = 0; c < cells.size(); ++c) {
       const CellResult& r = cells[c];
       all_ok = all_ok && r.steady;
@@ -242,8 +238,7 @@ int main(int argc, char** argv) {
            std::to_string(r.end_inflight), r.steady ? "yes" : "NO",
            std::to_string(r.lat_p50), std::to_string(r.lat_p99),
            std::to_string(r.lat_max), util::fixed(r.rps, 0),
-           util::fixed(r.window_ms / static_cast<double>(rounds), 2),
-           util::fixed(walk_rps > 0.0 ? r.rps / walk_rps : 0.0, 2) + "x"});
+           util::fixed(r.window_ms / static_cast<double>(rounds), 2)});
 
       char fp[24];
       std::snprintf(fp, sizeof fp, "%016" PRIx64, r.fingerprint);
@@ -264,17 +259,16 @@ int main(int argc, char** argv) {
       json.record("request_throughput", jp, "lat_p50_rounds", r.lat_p50);
       json.record("request_throughput", jp, "lat_p99_rounds", r.lat_p99);
       json.record("request_throughput", jp, "lat_max_rounds", r.lat_max);
-      json.record("request_throughput", jp, "speedup_vs_walk",
-                  walk_rps > 0.0 ? r.rps / walk_rps : 0.0);
       json.record("request_throughput", jp, "fingerprint", std::string(fp));
     }
-    // The modes above share one arrival schedule, so their post-drain
-    // fingerprints must be bit-identical (batch advance is a pure
-    // amortization of the walk).
+    // The cells above share one arrival schedule, so their post-drain
+    // fingerprints must be bit-identical (the worker count reorders
+    // nothing).
     for (std::size_t c = 1; c < cells.size(); ++c)
       if (cells[c].fingerprint != cells[0].fingerprint) {
-        std::printf("FAIL: n=%zu %s/%u fingerprint diverged from walk\n", n,
-                    modes[c].name, modes[c].threads);
+        std::printf("FAIL: n=%zu %s/%u fingerprint diverged from %s/%u\n",
+                    n, modes[c].name, modes[c].threads, modes[0].name,
+                    modes[0].threads);
         all_ok = false;
       }
     if (verify) {
@@ -286,8 +280,8 @@ int main(int argc, char** argv) {
       bool vok = true;
       for (const bool fs : {false, true})
         for (const unsigned t : {1U, cfg.threads}) {
-          const CellResult r = run_cell(base, n, t, fs, /*walk=*/false,
-                                        traffic, vwarm, vrounds, cfg.seed);
+          const CellResult r =
+              run_cell(base, n, t, fs, traffic, vwarm, vrounds, cfg.seed);
           if (!r.drained) vok = false;
           if (ref == 0)
             ref = r.fingerprint;

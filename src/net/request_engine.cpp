@@ -12,7 +12,15 @@
 namespace rechord::net {
 
 namespace {
-constexpr std::uint32_t kNoOwner = UINT32_MAX;
+/// Logical custody shards (DESIGN.md §10.1). Part of the determinism
+/// contract: a different shard count reorders the per-round completion
+/// sequence (and therefore the fingerprint), like a different request seed.
+constexpr std::uint32_t kShards = 16;
+/// Per-shard cap on cached routing rows (DESIGN.md §10.3). When a shard's
+/// cache is full and a new owner needs a row, the whole shard cache is
+/// dumped (epoch eviction); hot owners re-warm on the next round. Cached
+/// rows equal fresh scans, so outcomes never depend on the cap.
+constexpr std::size_t kRowCacheCap = 1 << 15;
 constexpr std::uint32_t kNoPayload = UINT32_MAX;
 constexpr std::uint64_t kSaltDelay = 0xDE1A11ULL;
 constexpr std::uint64_t kSaltLoss = 0x10551ULL;
@@ -42,8 +50,7 @@ RequestEngine::RequestEngine(core::Engine& engine, RequestOptions opt)
     : engine_(engine), opt_(opt), round_(engine.rounds_executed()) {
   if (opt_.hop_cap == 0) opt_.hop_cap = 1;
   if (opt_.ttl_rounds == 0) opt_.ttl_rounds = 1;
-  if (opt_.shards == 0) opt_.shards = 1;
-  shards_.resize(opt_.shards);
+  shards_.resize(kShards);
 }
 
 std::uint64_t RequestEngine::hop_hash(std::uint64_t id, std::uint32_t attempt,
@@ -167,16 +174,15 @@ std::optional<std::uint32_t> RequestEngine::custody_of(
   return slots_.custody[it->second];
 }
 
-// -- parallel phase ----------------------------------------------------------
+// -- routing rule ------------------------------------------------------------
 
-void RequestEngine::build_row(NbrRow& out, std::uint32_t owner) const {
+void build_row(const core::Network& net, std::uint32_t owner, NbrRow& out) {
   // The per-owner row of the real projection (§2.2), read from the CURRENT
   // edge sets: live owners reachable over any live slot's unmarked/ring
   // edges to real slots. normalize() ran at the end of the round, so no
   // target references a dead owner here -- dead next-hops are only ever
   // observed by hops already in flight when the owner died.
   out.clear();
-  const core::Network& net = engine_.network();
   for (std::uint32_t i = 0; i < core::kSlotsPerOwner; ++i) {
     const core::Slot s = core::slot_of(owner, i);
     if (!net.alive(s)) continue;
@@ -197,8 +203,87 @@ void RequestEngine::build_row(NbrRow& out, std::uint32_t owner) const {
   std::sort(out.begin(), out.end());
 }
 
-const RequestEngine::NbrRow& RequestEngine::owner_row(Shard& sh,
-                                                      std::uint32_t owner) {
+NextHop next_hop(const NbrRow& row, RingPos cur, RingPos key, bool settle,
+                 std::uint32_t avoid) {
+  // NOTE(no-ownership-shortcut): a Re-Chord peer has NO reliable leftward
+  // pointer -- even at the exact fixpoint a real slot's published rl can be
+  // invalid (the region behind a node is covered by its predecessors'
+  // virtual chains, not by its own state), and the projection need not
+  // contain a predecessor edge. Chord's local "key in (pred, self]"
+  // ownership test is therefore unsound here; an edge-derived predecessor
+  // estimate can sit half a ring away and swallow foreign keys. Instead a
+  // request ALWAYS routes forward and completes from the predecessor side:
+  // the settle phase ends exactly when the custody owner is the closest
+  // known clockwise successor of the key. A key just behind its origin
+  // takes the trip around the ring, like Chord without predecessor
+  // pointers -- O(log n) finger hops, each a real round.
+  //
+  // Selection over the position-sorted row. The routing rules ask for
+  // circular argmax/argmin around the key, so the candidates are the key's
+  // immediate ring neighbors in the sorted order: one lower_bound plus at
+  // most a couple of steps (skipping the avoid owner) instead of a linear
+  // scan. Owner positions are distinct, so each argmax/argmin has one
+  // answer.
+  const std::size_t m = row.size();
+  if (m == 0) return {};
+  // First index at/after the key on the ring, wrapping past the end.
+  const auto it = std::lower_bound(
+      row.begin(), row.end(), key,
+      [](const std::pair<RingPos, std::uint32_t>& e, RingPos v) {
+        return e.first < v;
+      });
+  const std::size_t at_key =
+      it == row.end() ? 0 : static_cast<std::size_t>(it - row.begin());
+  // After a bounce, pass 0 excludes the avoid owner -- the re-route the
+  // dead-hop/partition detection promises -- and pass 1 re-admits it if the
+  // exclusion left no usable candidate: retrying the obstructed hop beats
+  // reporting a stale dead end. (When avoid is not in the row, pass 0
+  // selects exactly what pass 1 would.)
+  for (int pass = avoid == kNoOwner ? 1 : 0; pass < 2; ++pass) {
+    const std::uint32_t skip = pass == 0 ? avoid : kNoOwner;
+    if (!settle) {
+      const RingPos d_h = ident::cw_dist(cur, key);
+      // Clockwise progress, not past the key: the largest cw_dist(cur, pos)
+      // in (0, d_h), i.e. the closest predecessor of the key inside
+      // (cur, key). Walk counterclockwise from the key; the walk leaves the
+      // interval after at most one avoid skip.
+      std::size_t i = (at_key + m - 1) % m;
+      for (std::size_t steps = 0; steps < m; ++steps) {
+        const RingPos d = ident::cw_dist(cur, row[i].first);
+        if (d == 0 || d >= d_h) break;  // at the custody owner / wrapped out
+        if (row[i].second != skip) return {NextHop::kHop, row[i].second};
+        i = (i + m - 1) % m;
+      }
+      // Otherwise the smallest cw_dist(cur, pos) >= d_h: the first known
+      // owner at/after the key, walking clockwise from the key.
+      std::size_t j = at_key;
+      for (std::size_t steps = 0; steps < m; ++steps) {
+        const RingPos d = ident::cw_dist(cur, row[j].first);
+        if (d != 0 && d >= d_h && row[j].second != skip)
+          return {NextHop::kSettleHop, row[j].second};
+        j = j + 1 == m ? 0 : j + 1;
+      }
+    } else {
+      // Settle: strictly closer clockwise successors of the key only --
+      // the smallest cw_dist(key, pos) < cw_dist(key, cur), again the first
+      // acceptable element clockwise from the key.
+      const RingPos best_d = ident::cw_dist(key, cur);
+      std::size_t j = at_key;
+      for (std::size_t steps = 0; steps < m; ++steps) {
+        // No (further) neighbor beats the custody owner.
+        if (ident::cw_dist(key, row[j].first) >= best_d) break;
+        if (row[j].second != skip) return {NextHop::kHop, row[j].second};
+        j = j + 1 == m ? 0 : j + 1;
+      }
+      if (pass == 1) return {NextHop::kResolved, kNoOwner};
+    }
+  }
+  return {};  // stuck: no progress anywhere
+}
+
+// -- parallel phase ----------------------------------------------------------
+
+const NbrRow& RequestEngine::owner_row(Shard& sh, std::uint32_t owner) {
   // Version-stamped cache: a row stays valid until ANY overlay mutation
   // bumps topology_version(), so at steady state the 65-slot edge scan runs
   // once per owner ever instead of once per parked batch per round. The
@@ -208,13 +293,13 @@ const RequestEngine::NbrRow& RequestEngine::owner_row(Shard& sh,
   const std::uint64_t ver = engine_.network().topology_version();
   auto it = sh.rows.find(owner);
   if (it == sh.rows.end()) {
-    if (opt_.row_cache_cap != 0 && sh.rows.size() >= opt_.row_cache_cap)
+    if (sh.rows.size() >= kRowCacheCap)
       sh.rows.clear();  // epoch dump; hot owners re-warm next round
     it = sh.rows.emplace(owner, OwnerRow{}).first;
   }
   OwnerRow& row = it->second;
   if (row.stamp != ver) {
-    build_row(row.nbrs, owner);
+    build_row(engine_.network(), owner, row.nbrs);
     row.stamp = ver;
   }
   return row.nbrs;
@@ -316,228 +401,35 @@ void RequestEngine::deliver(Shard& sh, std::uint32_t slot) {
 
 void RequestEngine::route_at_owner(Shard& sh, const NbrRow& row,
                                    std::uint32_t slot, RingPos cur) {
-  if (row.empty()) {
-    ++slots_.retries[slot];
-    slots_.obstruction[slot] = kObsStale;
-    note_stuck(sh, slot);
-    sh.next_parked.emplace_back(slots_.custody[slot], slot);
-    return;
+  const NextHop h = next_hop(row, cur, slots_.key[slot],
+                             slots_.phase[slot] == kSettle, slots_.avoid[slot]);
+  switch (h.kind) {
+    case NextHop::kSettleHop:
+      slots_.phase[slot] = kSettle;
+      [[fallthrough]];
+    case NextHop::kHop:
+      launch_hop(sh, slot, h.to);
+      return;
+    case NextHop::kResolved:
+      sh.completions.push_back({slot, RequestStatus::kResolved});
+      return;
+    case NextHop::kStuck:
+      // Retry next round; the obstruction classifies a budget failure.
+      ++slots_.retries[slot];
+      slots_.obstruction[slot] = kObsStale;
+      if (tracing_)
+        sh.trace.push_back({round_, slots_.uid[slot], slots_.custody[slot], 0,
+                            0, 0, util::TraceKind::kReqStuck});
+      sh.next_parked.emplace_back(slots_.custody[slot], slot);
+      return;
   }
-  const RingPos key = slots_.key[slot];
-  const std::uint32_t avoid = slots_.avoid[slot];
-  const std::size_t m = row.size();
-  // NOTE(no-ownership-shortcut): a Re-Chord peer has NO reliable leftward
-  // pointer -- even at the exact fixpoint a real slot's published rl can be
-  // invalid (the region behind a node is covered by its predecessors'
-  // virtual chains, not by its own state), and the projection need not
-  // contain a predecessor edge. Chord's local "key in (pred, self]"
-  // ownership test is therefore unsound here; an edge-derived predecessor
-  // estimate can sit half a ring away and swallow foreign keys. Instead a
-  // request ALWAYS routes forward and completes from the predecessor side:
-  // the settle phase ends exactly when the custody owner is the closest
-  // known clockwise successor of the key. A key just behind its origin
-  // takes the trip around the ring, like Chord without predecessor
-  // pointers -- O(log n) finger hops, each a real round.
-  //
-  // Next-hop selection over the position-sorted row. The routing rules ask
-  // for circular argmax/argmin around the key, so the candidates are the
-  // key's immediate ring neighbors in the sorted order: one lower_bound plus
-  // at most a couple of steps (skipping the avoid owner) replaces the linear
-  // scan of route_walk(). Selections are identical -- owner positions are
-  // distinct, so argmax/argmin over the same candidate set has one answer.
-  //
-  // First index at/after p on the ring, wrapping past the end.
-  const auto succ_index = [&](RingPos p) {
-    const auto it = std::lower_bound(
-        row.begin(), row.end(), p,
-        [](const std::pair<RingPos, std::uint32_t>& e, RingPos v) {
-          return e.first < v;
-        });
-    const auto i = static_cast<std::size_t>(it - row.begin());
-    return i == m ? 0 : i;
-  };
-  // When the last hop bounced (avoid), a first pass excludes it -- the
-  // re-route the dead-hop/partition detection promises -- and a second pass
-  // re-admits it if the exclusion left no usable candidate: retrying the
-  // obstructed hop beats reporting a stale dead end.
-  bool avoid_present = false;
-  if (avoid != kNoOwner) {
-    const RingPos ap = engine_.network().owner_pos(avoid);
-    const std::size_t i = succ_index(ap);
-    avoid_present = row[i].first == ap && row[i].second == avoid;
-  }
-  for (int pass = avoid_present ? 0 : 1; pass < 2; ++pass) {
-    const bool exclude_avoid = pass == 0;
-    if (slots_.phase[slot] == kForward) {
-      const RingPos d_h = ident::cw_dist(cur, key);
-      // Clockwise progress, not past the key: the largest cw_dist(cur, pos)
-      // in (0, d_h), i.e. the closest predecessor of the key inside
-      // (cur, key). Walk counterclockwise from the key; the walk leaves the
-      // interval after at most one avoid skip.
-      std::uint32_t best = kNoOwner;
-      std::size_t i = (succ_index(key) + m - 1) % m;
-      for (std::size_t steps = 0; steps < m; ++steps) {
-        const RingPos d = ident::cw_dist(cur, row[i].first);
-        if (d == 0 || d >= d_h) break;  // at the custody owner / wrapped out
-        if (!(exclude_avoid && row[i].second == avoid)) {
-          best = row[i].second;
-          break;
-        }
-        i = (i + m - 1) % m;
-      }
-      if (best != kNoOwner) {
-        launch_hop(sh, slot, best);
-        return;
-      }
-      // Otherwise the smallest cw_dist(cur, pos) >= d_h: the first known
-      // owner at/after the key, walking clockwise from the key.
-      std::uint32_t succ = kNoOwner;
-      std::size_t j = succ_index(key);
-      for (std::size_t steps = 0; steps < m; ++steps) {
-        const RingPos d = ident::cw_dist(cur, row[j].first);
-        if (d != 0 && d >= d_h &&
-            !(exclude_avoid && row[j].second == avoid)) {
-          succ = row[j].second;
-          break;
-        }
-        j = j + 1 == m ? 0 : j + 1;
-      }
-      if (succ != kNoOwner) {
-        slots_.phase[slot] = kSettle;
-        launch_hop(sh, slot, succ);
-        return;
-      }
-    } else {
-      // Settle: strictly closer clockwise successors of the key only --
-      // the smallest cw_dist(key, pos) < cw_dist(key, cur), again the first
-      // acceptable element clockwise from the key.
-      const RingPos best_d = ident::cw_dist(key, cur);
-      std::uint32_t best = kNoOwner;
-      std::size_t j = succ_index(key);
-      for (std::size_t steps = 0; steps < m; ++steps) {
-        const RingPos d = ident::cw_dist(key, row[j].first);
-        if (d >= best_d) break;  // no neighbor beats the custody owner
-        if (!(exclude_avoid && row[j].second == avoid)) {
-          best = row[j].second;
-          break;
-        }
-        j = j + 1 == m ? 0 : j + 1;
-      }
-      if (best != kNoOwner) {
-        launch_hop(sh, slot, best);
-        return;
-      }
-      if (!exclude_avoid) {
-        // No neighbor beats the custody owner: resolved here.
-        sh.completions.push_back({slot, RequestStatus::kResolved});
-        return;
-      }
-    }
-  }
-  ++slots_.retries[slot];  // stuck: no progress anywhere; retry next round
-  slots_.obstruction[slot] = kObsStale;
-  note_stuck(sh, slot);
-  sh.next_parked.emplace_back(slots_.custody[slot], slot);
-}
-
-void RequestEngine::route_walk(Shard& sh, std::uint32_t slot,
-                               std::uint32_t owner, RingPos cur) {
-  // The pre-shard engine's routing step, preserved verbatim behind
-  // per_request_walk: re-scan the custody owner's edge sets for THIS
-  // request into a sorted owner-id row, then select the next hop with a
-  // linear two-pass scan that looks up each neighbor's position as it goes.
-  // This is the lockstep baseline the batched path must match bit for bit
-  // (see route_at_owner for why the selections coincide).
-  auto& nbrs = sh.walk_nbrs;
-  nbrs.clear();
-  const core::Network& net = engine_.network();
-  for (std::uint32_t i = 0; i < core::kSlotsPerOwner; ++i) {
-    const core::Slot s = core::slot_of(owner, i);
-    if (!net.alive(s)) continue;
-    for (const core::EdgeKind k :
-         {core::EdgeKind::kUnmarked, core::EdgeKind::kRing}) {
-      for (const core::Slot t : net.edges(s, k)) {
-        if (!core::is_real_slot(t) || !net.alive(t)) continue;
-        const std::uint32_t w = core::owner_of(t);
-        if (w != owner) nbrs.push_back(w);
-      }
-    }
-  }
-  std::sort(nbrs.begin(), nbrs.end());
-  nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-  if (nbrs.empty()) {
-    ++slots_.retries[slot];
-    slots_.obstruction[slot] = kObsStale;
-    note_stuck(sh, slot);
-    sh.next_parked.emplace_back(slots_.custody[slot], slot);
-    return;
-  }
-  const RingPos key = slots_.key[slot];
-  const std::uint32_t avoid = slots_.avoid[slot];
-  const bool avoid_present =
-      avoid != kNoOwner &&
-      std::binary_search(nbrs.begin(), nbrs.end(), avoid);
-  for (int pass = avoid_present ? 0 : 1; pass < 2; ++pass) {
-    const bool exclude_avoid = pass == 0;
-    if (slots_.phase[slot] == kForward) {
-      const RingPos d_h = ident::cw_dist(cur, key);
-      std::uint32_t best = kNoOwner, succ = kNoOwner;
-      RingPos best_d = 0, succ_d = 0;
-      for (const std::uint32_t w : nbrs) {
-        if (exclude_avoid && w == avoid) continue;
-        const RingPos d_w = ident::cw_dist(cur, net.owner_pos(w));
-        if (d_w == 0) continue;
-        if (d_w < d_h) {
-          if (best == kNoOwner || d_w > best_d) {
-            best = w;
-            best_d = d_w;
-          }
-        } else if (succ == kNoOwner || d_w < succ_d) {
-          succ = w;
-          succ_d = d_w;
-        }
-      }
-      if (best != kNoOwner) {
-        launch_hop(sh, slot, best);
-        return;
-      }
-      if (succ != kNoOwner) {
-        slots_.phase[slot] = kSettle;
-        launch_hop(sh, slot, succ);
-        return;
-      }
-    } else {
-      std::uint32_t best = kNoOwner;
-      RingPos best_d = ident::cw_dist(key, cur);
-      for (const std::uint32_t w : nbrs) {
-        if (exclude_avoid && w == avoid) continue;
-        const RingPos d_w = ident::cw_dist(key, net.owner_pos(w));
-        if (d_w < best_d) {
-          best = w;
-          best_d = d_w;
-        }
-      }
-      if (best != kNoOwner) {
-        launch_hop(sh, slot, best);
-        return;
-      }
-      if (!exclude_avoid) {
-        sh.completions.push_back({slot, RequestStatus::kResolved});
-        return;
-      }
-    }
-  }
-  ++slots_.retries[slot];
-  slots_.obstruction[slot] = kObsStale;
-  note_stuck(sh, slot);
-  sh.next_parked.emplace_back(slots_.custody[slot], slot);
 }
 
 void RequestEngine::advance_parked(Shard& sh) {
   // Stable group-by custody owner: sort (owner << 32 | parked-index) keys,
   // so requests advance in (owner, insertion-order) order and the owner's
-  // edge sets are scanned once per GROUP, amortized over every request
-  // parked there -- the batch advance that replaces per-request walks.
+  // routing row is fetched once per GROUP, amortized over every request
+  // parked there.
   auto& keys = sh.group_keys;
   keys.clear();
   keys.reserve(sh.parked.size());
@@ -583,10 +475,6 @@ void RequestEngine::advance_parked(Shard& sh) {
         sh.completions.push_back({slot, RequestStatus::kResolved});
         continue;
       }
-      if (opt_.per_request_walk) {
-        route_walk(sh, slot, owner, cur);  // lockstep baseline: full re-walk
-        continue;
-      }
       if (nbrs == nullptr) nbrs = &owner_row(sh, owner);
       route_at_owner(sh, *nbrs, slot, cur);
     }
@@ -615,9 +503,7 @@ void RequestEngine::on_round() {
   if (outstanding_ == 0) return;
   tracing_ = util::Tracer::instance().enabled();
   const unsigned shard_count = static_cast<unsigned>(shards_.size());
-  unsigned ways = opt_.per_request_walk
-                      ? 1u
-                      : std::min(engine_.options().threads, shard_count);
+  const unsigned ways = std::min(engine_.options().threads, shard_count);
   {
     util::ScopedPhase span(util::Phase::kReqShardAdvance);
     if (ways <= 1) {

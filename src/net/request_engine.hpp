@@ -11,30 +11,30 @@
 // PRODUCTION-TRAFFIC LAYOUT (DESIGN.md §10). The engine is built for
 // open-loop load at millions of outstanding requests:
 //
-//   * Custody state is SHARDED: a fixed number of logical shards
-//     (RequestOptions::shards) partition the owner space; each shard holds
-//     the requests parked at its owners plus its own due-round bucket queue
-//     of in-flight hops targeting them. A round advances every shard
-//     independently -- on the engine's persistent worker pool when the
-//     engine is multi-threaded -- followed by one serial, shard-major merge
-//     that applies completions (KV effects, the monotonic-searchability
-//     ledger, totals, the completion fingerprint) and moves launched hops /
-//     bounced requests into their target shards. The shard count is part of
-//     the determinism contract: for a FIXED shard count, outcomes are
-//     bit-identical across {active-set, full-scan} x any thread count,
-//     because shard assignment keys on the custody owner, every per-shard
-//     order evolves deterministically, and the merge walks shards in index
-//     order (tests/test_request.cpp asserts 1-, 3- and 8-thread runs produce
+//   * Custody state is SHARDED: a fixed number (kShards = 16) of logical
+//     shards partition the owner space; each shard holds the requests
+//     parked at its owners plus its own due-round bucket queue of in-flight
+//     hops targeting them. A round advances every shard independently -- on
+//     the engine's persistent worker pool when the engine is multi-threaded
+//     -- followed by one serial, shard-major merge that applies completions
+//     (KV effects, the monotonic-searchability ledger, totals, the
+//     completion fingerprint) and moves launched hops / bounced requests
+//     into their target shards. Outcomes are bit-identical across
+//     {active-set, full-scan} x any thread count, because shard assignment
+//     keys on the custody owner, every per-shard order evolves
+//     deterministically, and the merge walks shards in index order
+//     (tests/test_request.cpp asserts 1-, 3- and 8-thread runs produce
 //     identical completion SEQUENCES, not just equal fingerprints).
 //
 //   * Advancement is BATCHED per custody owner: a shard stably groups its
-//     parked requests by owner and scans that owner's published edge sets
-//     ONCE per round, amortized over every request parked there -- replacing
-//     the per-request greedy walks that serialized PR 5 under hot keys. The
-//     flag-gated RequestOptions::per_request_walk baseline re-scans per
-//     request on one thread, in the exact same order, and must produce
-//     bit-identical outcomes (the batch scan is a pure amortization); the
-//     sustained-throughput bench measures the two against each other.
+//     parked requests by owner and fetches that owner's routing row ONCE per
+//     round, amortized over every request parked there. Rows are cached per
+//     shard (at most kRowCacheCap owners) and validated against
+//     Network::topology_version(), so at steady state an owner's edge scan
+//     happens once EVER. The routing rule itself is one pure function,
+//     next_hop(), of the row, the custody position, the key, the phase and
+//     the bounced next-hop; tests/test_request.cpp checks it decision by
+//     decision against a naive edge-scanning reference router.
 //
 //   * Request records are STRUCT-OF-ARRAYS: the per-request hot fields live
 //     in parallel vectors indexed by a recycled slot id, and the KV payloads
@@ -67,9 +67,9 @@
 // so request outcomes, and the request fingerprint folded over them, are
 // bit-identical across all scheduler modes (tests/test_request.cpp).
 //
-// Routing (per parked request, per round; neighbors = the live owners
-// reachable over the custody owner's unmarked/ring edges to real slots, the
-// per-owner row of the paper's §2.2 real projection):
+// Routing (next_hop(), per parked request, per round; neighbors = the live
+// owners reachable over the custody owner's unmarked/ring edges to real
+// slots, the per-owner row of the paper's §2.2 real projection):
 //   * forward phase: hop to the neighbor making the most clockwise progress
 //     toward the key without passing it (the §1.1 binary-search strategy);
 //     when no neighbor precedes the key, hop to the one closest AT/after it
@@ -123,6 +123,8 @@ enum class RequestStatus : std::uint8_t {
 [[nodiscard]] const char* request_status_name(RequestStatus s);
 [[nodiscard]] const char* request_kind_name(RequestKind k);
 
+/// Per-engine knobs. The shard count and the row-cache cap are not options:
+/// they are fixed constants of the engine (DESIGN.md §10.1, §10.3).
 struct RequestOptions {
   /// Seeds the stateless per-(request, attempt) hop coins.
   std::uint64_t seed = 0x5EEDC0FFEEULL;
@@ -130,20 +132,6 @@ struct RequestOptions {
   std::uint32_t hop_cap = 96;
   /// A request older than this many rounds fails at its next routing step.
   std::uint32_t ttl_rounds = 128;
-  /// Logical custody shards (clamped to >= 1). Part of the determinism
-  /// contract: for a FIXED shard count outcomes are bit-identical across
-  /// scheduler modes and thread counts; a different shard count reorders the
-  /// per-round completion sequence (and therefore the fingerprint), exactly
-  /// like choosing a different request seed.
-  std::uint32_t shards = 16;
-  /// Flag-gated comparison baseline (bench/request_throughput, lockstep
-  /// tests): advance on ONE thread with the pre-shard per-request walk --
-  /// a fresh edge scan and a linear next-hop selection with per-neighbor
-  /// position lookups for every request, every round (route_walk). Same
-  /// processing order, bit-identical outcomes -- the batched path's cached
-  /// position-sorted rows and binary-search selection are pure
-  /// amortizations of this walk.
-  bool per_request_walk = false;
   /// Ring-buffer cap on RETAINED completion records (0 = keep every record,
   /// the PR 5 behavior). With a cap, completions() holds the most recent
   /// `completion_cap` records, completions_dropped() counts the evicted
@@ -157,15 +145,6 @@ struct RequestOptions {
   /// documented trade for bounded memory under open-loop load; totals stay
   /// exact for everything else.
   std::size_t mono_ledger_cap = 0;
-  /// Per-shard cap on cached per-owner routing rows (0 = unbounded). Rows
-  /// are validated against Network::topology_version(), so at steady state
-  /// an owner's 65-slot edge scan happens once EVER instead of once per
-  /// round; any overlay mutation invalidates every cached row at its next
-  /// use. When a shard's cache is full and a new owner needs a row, the
-  /// whole shard cache is dumped (epoch eviction) -- hot owners re-warm on
-  /// the next round. Purely an amortization: cached rows are bit-identical
-  /// to fresh scans, so outcomes never depend on the cap.
-  std::size_t row_cache_cap = 1 << 15;
 };
 
 /// Completion record of one request (success or failure).
@@ -245,6 +224,41 @@ struct RequestTotals {
                        : 0.0;
   }
 };
+
+/// "No owner": the avoid value of a request whose last hop did not bounce,
+/// and the `to` of a NextHop that launches nothing.
+inline constexpr std::uint32_t kNoOwner = UINT32_MAX;
+
+/// Per-owner routing row: the live owners reachable over the owner's
+/// unmarked/ring edges as (ring position, owner id), sorted by position.
+/// The position order turns next-hop selection into binary searches around
+/// the key -- the clockwise argmax/argmin the routing rules ask for are the
+/// key's circular neighbors in this array.
+using NbrRow = std::vector<std::pair<RingPos, std::uint32_t>>;
+
+/// Scans `owner`'s live slots' unmarked/ring edges to live real slots into
+/// `out`, position-sorted and free of duplicates and of `owner` itself.
+void build_row(const core::Network& net, std::uint32_t owner, NbrRow& out);
+
+/// One routing decision at a custody owner.
+struct NextHop {
+  enum Kind : std::uint8_t {
+    kStuck,      // no usable next hop: wait parked, retry next round
+    kHop,        // launch a hop to `to`, phase unchanged
+    kSettleHop,  // launch a hop to `to` and enter the settle phase
+    kResolved,   // the custody owner is the key's closest known successor
+  };
+  Kind kind = kStuck;
+  std::uint32_t to = kNoOwner;
+};
+
+/// The routing rule (see the header comment): the next hop from the custody
+/// owner at `cur` toward `key`, over that owner's `row`. `avoid` is the
+/// owner the last hop bounced off (kNoOwner if none): a first pass excludes
+/// it, and a second pass re-admits it when the exclusion leaves nothing
+/// usable. Pure: the same inputs always select the same hop.
+[[nodiscard]] NextHop next_hop(const NbrRow& row, RingPos cur, RingPos key,
+                               bool settle, std::uint32_t avoid);
 
 class RequestEngine {
  public:
@@ -350,12 +364,6 @@ class RequestEngine {
     std::uint64_t custody_failovers = 0;
   };
 
-  /// Per-owner routing row: the live owners reachable over the owner's
-  /// unmarked/ring edges as (ring position, owner id), sorted by position.
-  /// The position order turns next-hop selection into binary searches
-  /// around the key -- the clockwise argmax/argmin the routing rules ask
-  /// for are the key's circular neighbors in this array.
-  using NbrRow = std::vector<std::pair<RingPos, std::uint32_t>>;
   /// A cached NbrRow, valid while the network's topology_version() still
   /// equals `stamp` (0 = never computed; the version counter starts at 1).
   struct OwnerRow {
@@ -392,9 +400,6 @@ class RequestEngine {
     std::vector<std::uint64_t> group_keys;  // (owner << 32 | parked index)
     std::vector<std::pair<std::uint32_t, std::uint32_t>> next_parked;
     std::vector<std::uint32_t> deliver_buf;
-    /// Walk-mode scratch: the PR 5 owner-id row (sorted unique owner ids,
-    /// positions looked up during the scan), rebuilt per request.
-    std::vector<std::uint32_t> walk_nbrs;
   };
 
   /// SoA request state, indexed by a recycled slot id. A slot is referenced
@@ -446,29 +451,11 @@ class RequestEngine {
   /// fail the request when the origin is gone too).
   void custody_failover(Shard& sh, std::uint32_t slot);
   void advance_parked(Shard& sh);
-  /// Routes one parked request against the position-sorted cached row of
-  /// its custody owner: binary searches around the key instead of a linear
-  /// scan, selecting exactly the neighbor the scan would select.
+  /// Routes one parked request: applies next_hop() over the cached row of
+  /// its custody owner at position `cur`.
   void route_at_owner(Shard& sh, const NbrRow& row, std::uint32_t slot,
                       RingPos cur);
-  /// The per-request-walk baseline (PR 5's routing step, preserved): a
-  /// fresh owner-id edge scan for THIS request, then the linear two-pass
-  /// selection with per-neighbor position lookups. Must pick the same hop
-  /// as route_at_owner -- the lockstep tests hold the two algorithms
-  /// bit-identical on randomized topologies.
-  void route_walk(Shard& sh, std::uint32_t slot, std::uint32_t owner,
-                  RingPos cur);
   void launch_hop(Shard& sh, std::uint32_t slot, std::uint32_t next);
-  /// Trace hook: the request found no usable next hop this round (stale
-  /// routing row) and waits parked. No-op unless tracing is on.
-  void note_stuck(Shard& sh, std::uint32_t slot) {
-    if (tracing_)
-      sh.trace.push_back({round_, slots_.uid[slot], slots_.custody[slot], 0,
-                          0, 0, util::TraceKind::kReqStuck});
-  }
-  /// Scans the owner's live slots' unmarked/ring edges into `out`,
-  /// position-sorted.
-  void build_row(NbrRow& out, std::uint32_t owner) const;
   /// The owner's routing row through the shard's version-stamped cache.
   const NbrRow& owner_row(Shard& sh, std::uint32_t owner);
 

@@ -98,64 +98,52 @@ class ScenarioRunner {
                 : 0;
         dc_lag_max = std::max(dc_lag_max, dc_streak_[d]);
       }
-      // One instrument surface (DESIGN.md §11): the per-round values
-      // publish into the named metrics registry, and the CSV row below
-      // reads the registry back -- the CSV series, the end-of-run summary
+      // One instrument surface (DESIGN.md §11): each per-round value is
+      // published into the named metrics registry and written to its CSV
+      // cell in the same pass, so the CSV series, the end-of-run summary
       // and outcome.metrics can never drift apart.
       metrics_.counter_set("engine.rounds", mt.round);
-      metrics_.gauge_set("net.real_nodes",
-                         static_cast<double>(mt.real_nodes));
-      metrics_.gauge_set("net.virtual_nodes",
-                         static_cast<double>(mt.virtual_nodes));
-      metrics_.gauge_set("net.unmarked_edges",
-                         static_cast<double>(mt.unmarked_edges));
-      metrics_.gauge_set("net.ring_edges",
-                         static_cast<double>(mt.ring_edges));
-      metrics_.gauge_set("net.connection_edges",
-                         static_cast<double>(mt.connection_edges));
-      metrics_.gauge_set("sched.active",
-                         static_cast<double>(mt.active_peers));
-      metrics_.gauge_set("sched.replayed",
-                         static_cast<double>(mt.replayed_peers));
-      metrics_.gauge_set("sched.skipped",
-                         static_cast<double>(mt.skipped_peers));
-      metrics_.gauge_set("round.changed", mt.changed ? 1.0 : 0.0);
-      metrics_.gauge_set("net.inflight",
-                         static_cast<double>(mt.inflight_messages));
-      metrics_.gauge_set("req.inflight",
-                         static_cast<double>(req_.inflight()));
-      metrics_.counter_set("req.resolved", req_.totals().resolved);
-      metrics_.counter_set("req.failed", req_.totals().failed());
-      metrics_.counter_set("req.mono_violations",
-                           req_.totals().mono_violations);
-      metrics_.gauge_set("dc.lag_max", static_cast<double>(dc_lag_max));
       metrics_.counter_add("sched.live_peer_rounds", mt.active_peers);
       metrics_.counter_add("sched.replayed_peer_rounds", mt.replayed_peers);
       metrics_.counter_add("sched.skipped_peer_rounds", mt.skipped_peers);
       metrics_.observe("sched.active_per_round",
                        static_cast<double>(mt.active_peers));
-      if (!csv_) return;
-      csv_->row();
-      csv_->cell("round").cell(current_event_).cell(mt.round);
-      const auto mcell = [this](std::string_view name) {
-        csv_->cell(static_cast<std::uint64_t>(metrics_.value(name)));
+      if (csv_) {
+        csv_->row();
+        csv_->cell("round").cell(current_event_).cell(mt.round);
+      }
+      using util::MetricKind;
+      const struct {
+        std::string_view name;
+        MetricKind kind;
+        std::uint64_t value;
+      } published[] = {
+          {"net.real_nodes", MetricKind::kGauge, mt.real_nodes},
+          {"net.virtual_nodes", MetricKind::kGauge, mt.virtual_nodes},
+          {"net.unmarked_edges", MetricKind::kGauge, mt.unmarked_edges},
+          {"net.ring_edges", MetricKind::kGauge, mt.ring_edges},
+          {"net.connection_edges", MetricKind::kGauge, mt.connection_edges},
+          {"sched.active", MetricKind::kGauge, mt.active_peers},
+          {"sched.replayed", MetricKind::kGauge, mt.replayed_peers},
+          {"sched.skipped", MetricKind::kGauge, mt.skipped_peers},
+          {"round.changed", MetricKind::kGauge, mt.changed ? 1U : 0U},
+          {"net.inflight", MetricKind::kGauge, mt.inflight_messages},
+          {"req.inflight", MetricKind::kGauge, req_.inflight()},
+          {"req.resolved", MetricKind::kCounter, req_.totals().resolved},
+          {"req.failed", MetricKind::kCounter, req_.totals().failed()},
+          {"req.mono_violations", MetricKind::kCounter,
+           req_.totals().mono_violations},
+          {"dc.lag_max", MetricKind::kGauge, dc_lag_max},
       };
-      mcell("net.real_nodes");
-      mcell("net.virtual_nodes");
-      mcell("net.unmarked_edges");
-      mcell("net.ring_edges");
-      mcell("net.connection_edges");
-      mcell("sched.active");
-      mcell("sched.replayed");
-      mcell("sched.skipped");
-      mcell("round.changed");
-      mcell("net.inflight");
-      mcell("req.inflight");
-      mcell("req.resolved");
-      mcell("req.failed");
-      mcell("req.mono_violations");
-      mcell("dc.lag_max");
-      for (int i = 0; i < 6; ++i) csv_->cell("");
+      for (const auto& [name, kind, value] : published) {
+        if (kind == MetricKind::kCounter)
+          metrics_.counter_set(name, value);
+        else
+          metrics_.gauge_set(name, static_cast<double>(value));
+        if (csv_) csv_->cell(value);
+      }
+      if (csv_)  // the probe and checkpoint columns stay empty on round rows
+        for (int i = 0; i < 6; ++i) csv_->cell("");
     });
   }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "core/churn.hpp"
+#include "core/engine.hpp"
 #include "test_util.hpp"
 
 namespace rechord::core {
@@ -84,6 +88,54 @@ TEST(Edges, DuplicateDeliveriesLeaveNoDirtyMarks) {
   EXPECT_TRUE(net.add_edge(b, EdgeKind::kConnection, c));
   EXPECT_TRUE(net.owner_dirty(1));
   EXPECT_TRUE(net.consume_round_changes());
+}
+
+// topology_version() is the only guard of the request engine's cached
+// routing rows: every mutator must bump it, and a duplicate insertion -- a
+// complete no-op by the contract above -- must not.
+TEST(TopologyVersion, EveryMutatorBumpsDuplicatesDoNot) {
+  auto net = make_net({0.1, 0.2, 0.3, 0.4});
+  const Slot a = slot_of(0, 0), b = slot_of(1, 0), c = slot_of(2, 0),
+             d = slot_of(3, 0), v = slot_of(1, 1);
+  const auto bumps = [&net](const std::function<void()>& mutate) {
+    const std::uint64_t before = net.topology_version();
+    mutate();
+    return net.topology_version() > before;
+  };
+  EXPECT_TRUE(bumps([&] { net.add_edge(a, EdgeKind::kUnmarked, b); }));
+  EXPECT_FALSE(bumps([&] { net.add_edge(a, EdgeKind::kUnmarked, b); }));
+  const Slot bulk[] = {c, d};  // sorted by order key
+  EXPECT_TRUE(bumps([&] { net.add_edges_bulk(a, EdgeKind::kRing, bulk); }));
+  EXPECT_FALSE(bumps([&] { net.add_edges_bulk(a, EdgeKind::kRing, bulk); }));
+  EXPECT_TRUE(bumps([&] { net.remove_edge(a, EdgeKind::kUnmarked, b); }));
+  EXPECT_TRUE(bumps([&] { net.clear_edges(a); }));
+  EXPECT_TRUE(bumps([&] { net.set_rl(b, a); }));
+  EXPECT_TRUE(bumps([&] { net.set_rr(b, c); }));
+  EXPECT_TRUE(bumps([&] { net.set_alive(v, true); }));
+  EXPECT_TRUE(bumps([&] { net.add_owner(ident::pos_from_double(0.6)); }));
+  // normalize() rewrites the edge into a slot that died since.
+  ASSERT_TRUE(net.add_edge(c, EdgeKind::kUnmarked, v));
+  EXPECT_TRUE(bumps([&] { net.set_alive(v, false); }));
+  EXPECT_TRUE(bumps([&] { net.normalize(); }));
+  EXPECT_FALSE(bumps([&] { net.normalize(); }));  // nothing left to rewrite
+}
+
+TEST(TopologyVersion, EngineMembershipHooksBump) {
+  auto net = make_net({0.1, 0.3, 0.5, 0.7});
+  for (std::uint32_t o = 0; o < 4; ++o)
+    net.add_edge(slot_of(o, 0), EdgeKind::kUnmarked, slot_of((o + 1) % 4, 0));
+  Engine engine(std::move(net));
+  engine.step();
+  const auto bumps = [&engine](const std::function<void()>& mutate) {
+    const std::uint64_t before = engine.network().topology_version();
+    mutate();
+    return engine.network().topology_version() > before;
+  };
+  EXPECT_TRUE(bumps([&] { engine.join_peer(ident::pos_from_double(0.9), 0); }));
+  EXPECT_TRUE(bumps([&] { engine.leave_peer(1); }));
+  const PeerSnapshot snap = capture_peer(engine.network(), 2);
+  EXPECT_TRUE(bumps([&] { engine.crash_peer(2); }));
+  EXPECT_TRUE(bumps([&] { engine.restart_peer(snap); }));
 }
 
 TEST(Edges, SelfEdgesRejected) {

@@ -324,85 +324,127 @@ TEST(RequestEngine, OpenLoopPoissonFingerprintsAcrossSchedulerModes) {
   }
 }
 
-// Batch advance vs per-request walk, in LOCKSTEP on randomized topologies:
-// the batched owner-scan is a pure amortization, so with identical seeds,
-// faults and churn the two modes must agree on the inflight count and the
-// running fingerprint after EVERY round -- not just at the end -- and on
-// every completion record field.
-TEST(RequestEngine, BatchAdvanceMatchesPerRequestWalkLockstep) {
-  for (const std::uint64_t seed : {29ULL, 101ULL, 777ULL}) {
-    auto make = [&](bool walk) {
-      core::EngineOptions eopt;
-      eopt.threads = walk ? 1U : 8U;
-      core::Engine engine = stable_engine(44, seed, eopt);
-      std::vector<std::uint8_t> dc(engine.network().owner_count());
-      for (std::uint32_t o = 0; o < dc.size(); ++o) dc[o] = o % 2;
-      engine.assign_datacenters(std::move(dc));
-      engine.set_latency_model(
-          core::LatencyModel::uniform(2, core::DelayClass{1, 1}, 5));
-      engine.set_message_loss(0.05);
-      return engine;
-    };
-    core::Engine batch_engine = make(false);
-    core::Engine walk_engine = make(true);
-    RequestOptions ropt;
-    ropt.seed = seed * 0x9E3779B97F4A7C15ULL;
-    RequestOptions wopt = ropt;
-    wopt.per_request_walk = true;
-    RequestEngine batch(batch_engine, ropt);
-    RequestEngine walk(walk_engine, wopt);
-    // Open-loop-ish drive: a trickle of new lookups every round, two crash
-    // waves mid-flight (same victims on both networks, which are
-    // bit-identical), then drain.
-    util::Rng rng(seed ^ 0xABCDEF);
-    const auto owners = batch_engine.network().live_owners();
-    for (int r = 0; r < 40; ++r) {
-      if (r < 20)
-        for (int k = 0; k < 5; ++k) {
-          const core::RingPos key = rng.next();
-          const std::uint32_t from = owners[rng.below(owners.size())];
-          batch.submit_lookup(key, from);
-          walk.submit_lookup(key, from);
-        }
-      if (r == 8 || r == 14) {
-        const auto live = batch_engine.network().live_owners();
-        const std::uint32_t victim = live[rng.below(live.size())];
-        batch_engine.crash_peer(victim);
-        walk_engine.crash_peer(victim);
-      }
-      batch_engine.step();
-      walk_engine.step();
-      batch.on_round();
-      walk.on_round();
-      ASSERT_EQ(batch.inflight(), walk.inflight())
-          << "seed " << seed << " round " << r;
-      ASSERT_EQ(batch.fingerprint(), walk.fingerprint())
-          << "seed " << seed << " round " << r;
-    }
-    int guard = 0;
-    while ((batch.inflight() > 0 || walk.inflight() > 0) && guard++ < 500) {
-      batch_engine.step();
-      walk_engine.step();
-      batch.on_round();
-      walk.on_round();
-    }
-    ASSERT_EQ(batch.inflight(), 0U) << "seed " << seed;
-    ASSERT_EQ(walk.inflight(), 0U) << "seed " << seed;
-    ASSERT_EQ(batch.completions().size(), walk.completions().size());
-    for (std::size_t i = 0; i < batch.completions().size(); ++i) {
-      const RequestRecord& b = batch.completions()[i];
-      const RequestRecord& w = walk.completions()[i];
-      ASSERT_EQ(b.id, w.id) << "seed " << seed << " record " << i;
-      ASSERT_EQ(b.status, w.status) << "seed " << seed << " record " << i;
-      ASSERT_EQ(b.result_owner, w.result_owner) << "record " << i;
-      ASSERT_EQ(b.hops, w.hops) << "record " << i;
-      ASSERT_EQ(b.retries, w.retries) << "record " << i;
-      ASSERT_EQ(b.completion_round, w.completion_round) << "record " << i;
-    }
-    EXPECT_EQ(batch.totals().loss_bounces, walk.totals().loss_bounces);
-    EXPECT_EQ(batch.totals().custody_failovers,
-              walk.totals().custody_failovers);
+// The naive reference router: the pre-shard per-request walk. A fresh
+// owner-id edge scan of the custody owner, then a linear two-pass selection
+// that looks up each neighbor's position as it goes; pass 0 (excluding the
+// bounced next-hop) runs only when that next-hop is a neighbor.
+NextHop naive_next_hop(const core::Network& net, std::uint32_t owner,
+                       core::RingPos key, bool settle, std::uint32_t avoid) {
+  std::vector<std::uint32_t> nbrs;
+  for (std::uint32_t i = 0; i < core::kSlotsPerOwner; ++i) {
+    const core::Slot s = core::slot_of(owner, i);
+    if (!net.alive(s)) continue;
+    for (const core::EdgeKind k :
+         {core::EdgeKind::kUnmarked, core::EdgeKind::kRing})
+      for (const core::Slot t : net.edges(s, k))
+        if (core::is_real_slot(t) && net.alive(t) &&
+            core::owner_of(t) != owner)
+          nbrs.push_back(core::owner_of(t));
   }
+  std::sort(nbrs.begin(), nbrs.end());
+  nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
+  if (nbrs.empty()) return {};
+  const core::RingPos cur = net.owner_pos(owner);
+  const bool avoid_present =
+      avoid != kNoOwner && std::binary_search(nbrs.begin(), nbrs.end(), avoid);
+  for (int pass = avoid_present ? 0 : 1; pass < 2; ++pass) {
+    const bool exclude_avoid = pass == 0;
+    std::uint32_t best = kNoOwner, succ = kNoOwner;
+    core::RingPos best_d = settle ? ident::cw_dist(key, cur) : 0, succ_d = 0;
+    const core::RingPos d_h = ident::cw_dist(cur, key);
+    for (const std::uint32_t w : nbrs) {
+      if (exclude_avoid && w == avoid) continue;
+      const core::RingPos p = net.owner_pos(w);
+      if (settle) {
+        if (ident::cw_dist(key, p) < best_d) {
+          best = w;
+          best_d = ident::cw_dist(key, p);
+        }
+        continue;
+      }
+      const core::RingPos d_w = ident::cw_dist(cur, p);
+      if (d_w == 0) continue;
+      if (d_w < d_h) {
+        if (best == kNoOwner || d_w > best_d) {
+          best = w;
+          best_d = d_w;
+        }
+      } else if (succ == kNoOwner || d_w < succ_d) {
+        succ = w;
+        succ_d = d_w;
+      }
+    }
+    if (best != kNoOwner) return {NextHop::kHop, best};
+    if (succ != kNoOwner) return {NextHop::kSettleHop, succ};
+    if (settle && !exclude_avoid) return {NextHop::kResolved, kNoOwner};
+  }
+  return {};
+}
+
+// The cached-row router's decision function against the naive reference,
+// decision by decision, on healing topologies: a scrambled start under 5%
+// message loss with two crash waves. Every round, for every live owner,
+// both phases and several avoid values, the keys probe every boundary the
+// rules compare against -- the custody position +-1 and each row member's
+// position and its two ring neighbours -- plus random keys.
+TEST(RequestEngine, NextHopMatchesNaiveReferenceRouter) {
+  std::uint64_t decisions = 0;
+  for (const std::uint64_t seed : {29ULL, 101ULL, 777ULL}) {
+    util::Rng rng(seed);
+    core::Network start =
+        gen::make_network(gen::Topology::kRandomConnected, 44, rng);
+    gen::scramble_state(start, rng);
+    core::Engine engine(std::move(start), {});
+    engine.set_message_loss(0.05);
+    NbrRow row;
+    std::vector<core::RingPos> keys;
+    std::vector<std::uint32_t> avoids;
+    for (int r = 0; r < 60; ++r) {
+      if (r == 12 || r == 30)
+        for (int k = 0; k < 3; ++k) {
+          const auto live = engine.network().live_owners();
+          engine.crash_peer(live[rng.below(live.size())]);
+        }
+      engine.step();
+      const core::Network& net = engine.network();
+      for (const std::uint32_t owner : net.live_owners()) {
+        build_row(net, owner, row);
+        const core::RingPos cur = net.owner_pos(owner);
+        keys = {cur + 1, cur - 1, rng.next(), rng.next()};
+        avoids = {kNoOwner};
+        for (const auto& [pos, w] : row) {
+          keys.insert(keys.end(), {pos - 1, pos, pos + 1});
+          if (avoids.size() < 5 && rng.below(2) == 0) avoids.push_back(w);
+        }
+        // A non-neighbour: the first owner id missing from the row.
+        for (std::uint32_t o = 0;; ++o)
+          if (o != owner && std::none_of(row.begin(), row.end(),
+                                         [o](const auto& e) {
+                                           return e.second == o;
+                                         })) {
+            avoids.push_back(o);
+            break;
+          }
+        for (const core::RingPos key : keys)
+          for (const bool settle : {false, true})
+            for (const std::uint32_t avoid : avoids) {
+              const NextHop got = next_hop(row, cur, key, settle, avoid);
+              const NextHop want =
+                  naive_next_hop(net, owner, key, settle, avoid);
+              ASSERT_EQ(got.kind, want.kind)
+                  << "seed " << seed << " round " << r << " owner " << owner
+                  << " key " << key << " settle " << settle << " avoid "
+                  << avoid;
+              ASSERT_EQ(got.to, want.to)
+                  << "seed " << seed << " round " << r << " owner " << owner
+                  << " key " << key << " settle " << settle << " avoid "
+                  << avoid;
+              ++decisions;
+            }
+      }
+    }
+  }
+  EXPECT_GE(decisions, 100000U);
 }
 
 // Regression (satellite): the shard MERGE order is a function of the data,
