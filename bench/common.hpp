@@ -169,7 +169,9 @@ class WallTimer {
 
 /// Materializes the protocol's exact fixpoint state for n random peers
 /// directly from the StableSpec (no protocol execution) -- the steady-state
-/// workload of bench/round_cost, cheap to build even at n = 50k.
+/// workload of bench/round_cost. Release, 4-vCPU 2.1 GHz host: ~0.45 s at
+/// n = 10k and ~3.2 s at n = 50k (spec ~0.13 s / ~0.95 s of that; the rest
+/// is the network and its 2M / 14M connection-edge inserts).
 inline core::Network stable_network(std::size_t n, std::uint64_t seed) {
   util::Rng rng(seed);
   const auto ids = gen::random_ids(rng, n);

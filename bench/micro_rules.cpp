@@ -83,11 +83,20 @@ void BM_ConsumeRoundChangesClean(benchmark::State& state) {
 BENCHMARK(BM_ConsumeRoundChangesClean)->Arg(64)->Arg(256);
 
 void BM_SpecCompute(benchmark::State& state) {
-  auto engine = stable_engine(static_cast<std::size_t>(state.range(0)));
+  // The spec depends only on the live owners' positions, so a fresh network
+  // of random ids is enough; no protocol run needed.
+  util::Rng rng(42);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto ids = gen::random_ids(rng, n);
+  const core::Network net{std::span<const core::RingPos>(ids)};
   for (auto _ : state)
-    benchmark::DoNotOptimize(core::StableSpec::compute(engine.network()));
+    benchmark::DoNotOptimize(core::StableSpec::compute(net));
 }
-BENCHMARK(BM_SpecCompute)->Arg(64)->Arg(256);
+BENCHMARK(BM_SpecCompute)
+    ->Arg(256)
+    ->Arg(2000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_AlmostStableCheck(benchmark::State& state) {
   auto engine = stable_engine(static_cast<std::size_t>(state.range(0)));

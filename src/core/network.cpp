@@ -10,14 +10,22 @@
 
 namespace rechord::core {
 
-Network::Network(std::span<const RingPos> real_ids) {
+Network::Network(std::span<const RingPos> real_ids)
+    : owner_pos_(real_ids.begin(), real_ids.end()) {
   topo_version_.store(1);  // reserve 0 as the "never computed" cache stamp
-  owner_pos_.reserve(real_ids.size());
-  for (RingPos id : real_ids) add_owner(id);
+#ifndef NDEBUG
+  // Distinct ids, checked once on a sorted copy: add_owner's per-call scan
+  // would make building n peers O(n^2).
+  std::vector<RingPos> sorted = owner_pos_;
+  std::sort(sorted.begin(), sorted.end());
+  assert(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end());
+#endif
+  grow_slots(owner_count());  // every per-slot array sized once
+  for (std::uint32_t o = 0; o < owner_count(); ++o) place_owner(o);
 }
 
-void Network::grow_slots(std::uint32_t owner) {
-  const std::size_t want = static_cast<std::size_t>(owner + 1) * kSlotsPerOwner;
+void Network::grow_slots(std::uint32_t owners) {
+  const std::size_t want = static_cast<std::size_t>(owners) * kSlotsPerOwner;
   pos_.resize(want, 0);
   alive_.resize(want, 0);
   rl_.resize(want, kInvalidSlot);
@@ -25,9 +33,16 @@ void Network::grow_slots(std::uint32_t owner) {
   slot_dirty_.resize(want, 0);
   slot_digest_.resize(want, 0);  // 0 == digest of a dead slot
   pub_digest_.resize(want, 0);   // ditto
-  owner_dirty_.resize(owner + 1, 0);
-  readers_.resize(owner + 1);
+  owner_dirty_.resize(owners, 0);
+  readers_.resize(owners);
   for (auto& per_kind : sets_) per_kind.resize(want);
+}
+
+void Network::place_owner(std::uint32_t owner) {
+  const RingPos id = owner_pos_[owner];
+  for (std::uint32_t i = 0; i < kSlotsPerOwner; ++i)
+    pos_[slot_of(owner, i)] = ident::virtual_pos(id, static_cast<int>(i));
+  set_alive(slot_of(owner, 0), true);
 }
 
 std::uint32_t Network::add_owner(RingPos id) {
@@ -37,10 +52,8 @@ std::uint32_t Network::add_owner(RingPos id) {
 #endif
   const auto owner = static_cast<std::uint32_t>(owner_pos_.size());
   owner_pos_.push_back(id);
-  grow_slots(owner);
-  for (std::uint32_t i = 0; i < kSlotsPerOwner; ++i)
-    pos_[slot_of(owner, i)] = ident::virtual_pos(id, static_cast<int>(i));
-  set_alive(slot_of(owner, 0), true);
+  grow_slots(owner + 1);
+  place_owner(owner);
   return owner;
 }
 

@@ -323,7 +323,10 @@ class Network {
   /// Digest of the published (cross-peer-readable) part of a slot: aliveness
   /// and rl/rr. 0 for dead slots.
   [[nodiscard]] std::uint64_t pub_digest(Slot s) const noexcept;
-  void grow_slots(std::uint32_t owner);
+  /// Sizes every per-slot and per-owner array for `owners` owners.
+  void grow_slots(std::uint32_t owners);
+  /// Sets the positions of a new owner's slots and makes its u_0 alive.
+  void place_owner(std::uint32_t owner);
 };
 
 }  // namespace rechord::core

@@ -2,126 +2,134 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <utility>
 
 #include "ident/ring_pos.hpp"
+#include "util/sorted_vec.hpp"
 
 namespace rechord::core {
 
 namespace {
-void sort_by_order(const Network& net, std::vector<Slot>& v) {
-  std::sort(v.begin(), v.end(), [&net](Slot a, Slot b) {
-    return net.order_key(a) < net.order_key(b);
-  });
-  v.erase(std::unique(v.begin(), v.end()), v.end());
+
+constexpr std::uint32_t kNoRank = 0xFFFFFFFFU;
+
+std::uint64_t pack(Slot from, Slot to) {
+  return (static_cast<std::uint64_t>(from) << 32) | to;
 }
+
 }  // namespace
+
+void StableSpec::FlatEdges::assign(const std::vector<std::uint64_t>& pairs,
+                                   std::uint32_t slots) {
+  assert(pairs.size() <= UINT32_MAX);  // 32-bit offsets
+  std::vector<std::uint32_t> cursor;
+  util::bucket_by_key(pairs, slots, off, cursor, to);
+}
 
 StableSpec StableSpec::compute(const Network& net) {
   StableSpec spec;
+  const std::uint32_t slots = net.slot_count();
   const std::vector<std::uint32_t> owners = net.live_owners();
   spec.m_.assign(net.owner_count(), 0);
-  spec.eu_.resize(net.slot_count());
-  spec.er_.resize(net.slot_count());
-  spec.ec_.resize(net.slot_count());
-  spec.rl_.assign(net.slot_count(), kInvalidSlot);
-  spec.rr_.assign(net.slot_count(), kInvalidSlot);
-  if (owners.empty()) return spec;
+  spec.rl_.assign(slots, kInvalidSlot);
+  spec.rr_.assign(slots, kInvalidSlot);
 
-  // Stable m per owner: gap to the closest real successor (full circle for a
-  // single peer -> m = 1).
-  std::vector<RingPos> real_pos;
-  real_pos.reserve(owners.size());
-  for (auto o : owners) real_pos.push_back(net.owner_pos(o));
-  for (auto o : owners) {
-    RingPos best = 0;
-    bool found = false;
-    for (auto p : real_pos) {
-      const RingPos gap = ident::cw_dist(net.owner_pos(o), p);
-      if (gap == 0) continue;
-      if (!found || gap < best) {
-        best = gap;
-        found = true;
-      }
-    }
-    spec.m_[o] = found ? ident::exponent_for_gap(best) : 1;
+  // Stable m per owner: the gap to the next distinct live position, wrapping
+  // around (a single position spans the full circle -> m = 1).
+  std::vector<std::pair<RingPos, std::uint32_t>> by_pos;
+  by_pos.reserve(owners.size());
+  for (auto o : owners) by_pos.emplace_back(net.owner_pos(o), o);
+  std::sort(by_pos.begin(), by_pos.end());
+  for (std::size_t i = 0, j = 0; i < by_pos.size(); i = j) {
+    const RingPos p = by_pos[i].first;
+    while (j < by_pos.size() && by_pos[j].first == p) ++j;
+    const RingPos succ = by_pos[j % by_pos.size()].first;
+    const int m =
+        succ == p ? 1 : ident::exponent_for_gap(ident::cw_dist(p, succ));
+    for (std::size_t k = i; k < j; ++k) spec.m_[by_pos[k].second] = m;
   }
 
-  // All spec-alive slots, sorted by the total order.
+  // All spec-alive slots, sorted by the total order once. From here on a
+  // node is its rank: rank order is order_key order over the spec nodes, and
+  // every candidate below is a spec node.
+  std::vector<OrderKey> keys;
   for (auto o : owners)
     for (int i = 0; i <= spec.m_[o]; ++i)
-      spec.sorted_nodes_.push_back(slot_of(o, static_cast<std::uint32_t>(i)));
-  sort_by_order(net, spec.sorted_nodes_);
-  const auto& nodes = spec.sorted_nodes_;
-  const std::size_t n = nodes.size();
+      keys.push_back(net.order_key(slot_of(o, static_cast<std::uint32_t>(i))));
+  std::sort(keys.begin(), keys.end());
+  auto& nodes = spec.sorted_nodes_;
+  nodes.reserve(keys.size());
+  for (const OrderKey& k : keys)
+    nodes.push_back(static_cast<Slot>(k.tie));  // the tie's low word: the slot
+  const auto n = static_cast<std::uint32_t>(nodes.size());
 
-  // Nearest real on each side, in linear order (no wrap; the seam is closed
-  // by ring edges only).
-  std::vector<Slot> last_real_before(n, kInvalidSlot);
-  std::vector<Slot> first_real_after(n, kInvalidSlot);
-  {
-    Slot run = kInvalidSlot;
-    for (std::size_t i = 0; i < n; ++i) {
-      last_real_before[i] = run;
-      if (is_real_slot(nodes[i])) run = nodes[i];
-    }
-    run = kInvalidSlot;
-    for (std::size_t i = n; i-- > 0;) {
-      first_real_after[i] = run;
-      if (is_real_slot(nodes[i])) run = nodes[i];
-    }
+  // First real node after each rank, in linear order (no wrap; the seam is
+  // closed by ring edges only).
+  std::vector<std::uint32_t> fra(n);
+  for (std::uint32_t r = n, run = kNoRank; r-- > 0;) {
+    fra[r] = run;
+    if (is_real_slot(nodes[r])) run = r;
   }
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const Slot s = nodes[i];
-    auto& eu = spec.eu_[s];
-    if (i > 0) eu.push_back(nodes[i - 1]);                       // closest left
-    if (i + 1 < n) eu.push_back(nodes[i + 1]);                   // closest right
-    if (last_real_before[i] != kInvalidSlot) eu.push_back(last_real_before[i]);
-    if (first_real_after[i] != kInvalidSlot) eu.push_back(first_real_after[i]);
-    spec.rl_[s] = last_real_before[i];
-    spec.rr_[s] = first_real_after[i];
-    sort_by_order(net, eu);
+  // Unmarked edges [last real before, left, right, first real after]: already
+  // ascending in rank, so only absent entries and repeats are dropped.
+  std::vector<std::uint64_t> pairs;
+  pairs.reserve(4 * static_cast<std::size_t>(n));
+  for (std::uint32_t r = 0, lrb = kNoRank; r < n; ++r) {
+    const Slot s = nodes[r];
+    std::uint32_t prev = kNoRank;
+    auto emit = [&](std::uint32_t t) {
+      if (t == kNoRank || t == prev) return;
+      pairs.push_back(pack(s, nodes[t]));
+      prev = t;
+    };
+    emit(lrb);
+    if (r > 0) emit(r - 1);
+    if (r + 1 < n) emit(r + 1);
+    emit(fra[r]);
+    spec.rl_[s] = lrb == kNoRank ? kInvalidSlot : nodes[lrb];
+    spec.rr_[s] = fra[r] == kNoRank ? kInvalidSlot : nodes[fra[r]];
+    if (is_real_slot(s)) lrb = r;
   }
+  spec.eu_.assign(pairs, slots);
 
   // Ring closure: (max -> min) and (min -> max).
+  pairs.clear();
   if (n >= 2) {
-    spec.er_[nodes.back()].push_back(nodes.front());
-    spec.er_[nodes.front()].push_back(nodes.back());
+    pairs.push_back(pack(nodes[n - 1], nodes[0]));
+    pairs.push_back(pack(nodes[0], nodes[n - 1]));
   }
+  spec.er_.assign(pairs, slots);
 
-  // Connection-edge steady chains per contiguous-sibling pair: positions
-  // x_1..x_k of the pipeline hold (x_l -> b) at every round boundary, where
-  // x_{l+1} = max{ y in euSpec(x_l) ∪ S(owner(x_l)) : y < b } and x_k is b's
-  // global predecessor (see DESIGN.md).
-  for (auto o : owners) {
-    std::vector<Slot> sib;
-    for (int i = 0; i <= spec.m_[o]; ++i)
-      sib.push_back(slot_of(o, static_cast<std::uint32_t>(i)));
-    sort_by_order(net, sib);
-    for (std::size_t p = 0; p + 1 < sib.size(); ++p) {
-      const Slot b = sib[p + 1];
-      const auto b_key = net.order_key(b);
-      Slot x = sib[p];
-      for (;;) {
-        // candidates: spec unmarked neighborhood of x plus x's own siblings.
-        Slot w = kInvalidSlot;
-        auto consider = [&](Slot y) {
-          if (net.order_key(y) >= b_key) return;
-          if (w == kInvalidSlot || net.order_key(y) > net.order_key(w)) w = y;
-        };
-        for (Slot y : spec.eu_[x]) consider(y);
-        {
-          const std::uint32_t xo = owner_of(x);
-          for (int i = 0; i <= spec.m_[xo]; ++i)
-            consider(slot_of(xo, static_cast<std::uint32_t>(i)));
-        }
-        if (w == kInvalidSlot || w == x) break;  // terminal (cedges-2)
-        spec.ec_[w].push_back(b);
-        x = w;
-      }
+  // Connection-edge steady chains per contiguous-sibling pair (a, b):
+  // positions x_1..x_k of the pipeline hold (x_l -> b) at every round
+  // boundary, where x_1 = a, x_{l+1} = max{ y in euSpec(x_l) ∪ S(owner(x_l))
+  // : y < b } and x_k is b's global predecessor (see DESIGN.md). Scanning b
+  // by ascending rank keeps last[o] = o's largest node below b for every
+  // owner o, so each step is O(1): x itself, its right neighbour, its first
+  // real node after and last[owner(x)] are the only candidates that can win
+  // (euSpec's other members lie below x). Pairs come out by ascending b, so
+  // each slot's ec bucket is already sorted.
+  pairs.clear();
+  std::vector<std::uint32_t> last(net.owner_count(), kNoRank);
+  for (std::uint32_t b = 0; b < n; ++b) {
+    const std::uint32_t ob = owner_of(nodes[b]);
+    for (std::uint32_t x = last[ob]; x != kNoRank;) {
+      std::uint32_t w = x;
+      auto consider = [&](std::uint32_t y) {
+        if (y < b && y > w) w = y;
+      };
+      consider(x + 1);
+      consider(fra[x]);
+      consider(last[owner_of(nodes[x])]);
+      if (w == x) break;  // terminal (cedges-2)
+      pairs.push_back(pack(nodes[w], nodes[b]));
+      x = w;
     }
+    last[ob] = b;
   }
-  for (Slot s : nodes) sort_by_order(net, spec.ec_[s]);
+  spec.ec_.assign(pairs, slots);
   return spec;
 }
 
@@ -129,13 +137,13 @@ bool StableSpec::almost_stable(const Network& net) const {
   for (Slot s : sorted_nodes_) {
     if (!net.alive(s)) return false;
     const auto& have = net.edges(s, EdgeKind::kUnmarked);
-    for (Slot want : eu_[s])
+    for (Slot want : eu(s))
       if (!std::binary_search(have.begin(), have.end(), want,
                               [&net](Slot a, Slot b) {
                                 return net.order_key(a) < net.order_key(b);
                               }))
         return false;
-    for (Slot want : er_[s])
+    for (Slot want : er(s))
       if (!net.has_edge(s, EdgeKind::kRing, want)) return false;
   }
   return true;
@@ -160,11 +168,11 @@ bool StableSpec::exact_match(const Network& net, std::string* why) const {
         return fail("missing live slot " + net.describe(s));
   }
   for (Slot s : sorted_nodes_) {
-    if (net.edges(s, EdgeKind::kUnmarked) != eu_[s])
+    if (!std::ranges::equal(net.edges(s, EdgeKind::kUnmarked), eu(s)))
       return fail("Eu mismatch at " + net.describe(s));
-    if (net.edges(s, EdgeKind::kRing) != er_[s])
+    if (!std::ranges::equal(net.edges(s, EdgeKind::kRing), er(s)))
       return fail("Er mismatch at " + net.describe(s));
-    if (net.edges(s, EdgeKind::kConnection) != ec_[s])
+    if (!std::ranges::equal(net.edges(s, EdgeKind::kConnection), ec(s)))
       return fail("Ec mismatch at " + net.describe(s));
     if (net.rl(s) != rl_[s])
       return fail("rl mismatch at " + net.describe(s));
@@ -175,12 +183,10 @@ bool StableSpec::exact_match(const Network& net, std::string* why) const {
 }
 
 std::size_t StableSpec::spec_edge_count(EdgeKind k) const noexcept {
-  const auto& per_slot = k == EdgeKind::kUnmarked ? eu_
-                         : k == EdgeKind::kRing   ? er_
-                                                  : ec_;
-  std::size_t total = 0;
-  for (Slot s : sorted_nodes_) total += per_slot[s].size();
-  return total;
+  const FlatEdges& e = k == EdgeKind::kUnmarked ? eu_
+                       : k == EdgeKind::kRing   ? er_
+                                                : ec_;
+  return e.to.size();
 }
 
 }  // namespace rechord::core

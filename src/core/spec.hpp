@@ -12,8 +12,15 @@
 // linear identifier order, when they exist); the global extremes hold the two
 // marked ring edges; and each contiguous-sibling gap carries a steady chain
 // of connection edges (see DESIGN.md, "steady flows").
+//
+// Cost: compute() is O(n log n + E) for n spec nodes and E spec edges -- one
+// sort of the nodes by order_key, then every comparison is a rank compare and
+// each connection-chain step is O(1) (DESIGN.md §3, "Steady flows"). The
+// edge sets are stored flat: per-slot offsets into one target array per
+// edge kind.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,14 +54,16 @@ class StableSpec {
   [[nodiscard]] int m_of(std::uint32_t owner) const noexcept {
     return m_[owner];
   }
-  [[nodiscard]] const std::vector<Slot>& eu(Slot s) const noexcept {
-    return eu_[s];
+  /// Spec edge targets of `s`, sorted by order_key; empty for slots that
+  /// are not spec nodes.
+  [[nodiscard]] std::span<const Slot> eu(Slot s) const noexcept {
+    return eu_.targets(s);
   }
-  [[nodiscard]] const std::vector<Slot>& er(Slot s) const noexcept {
-    return er_[s];
+  [[nodiscard]] std::span<const Slot> er(Slot s) const noexcept {
+    return er_.targets(s);
   }
-  [[nodiscard]] const std::vector<Slot>& ec(Slot s) const noexcept {
-    return ec_[s];
+  [[nodiscard]] std::span<const Slot> ec(Slot s) const noexcept {
+    return ec_.targets(s);
   }
   [[nodiscard]] Slot rl(Slot s) const noexcept { return rl_[s]; }
   [[nodiscard]] Slot rr(Slot s) const noexcept { return rr_[s]; }
@@ -69,10 +78,22 @@ class StableSpec {
   [[nodiscard]] std::size_t spec_edge_count(EdgeKind k) const noexcept;
 
  private:
-  std::vector<Slot> sorted_nodes_;            // all spec-alive slots, by order
-  std::vector<int> m_;                        // per owner
-  std::vector<std::vector<Slot>> eu_, er_, ec_;  // per slot (spec-alive only)
-  std::vector<Slot> rl_, rr_;                 // per slot
+  /// One edge kind, flat: the targets of slot s are to[off[s] .. off[s+1]).
+  struct FlatEdges {
+    std::vector<std::uint32_t> off;  // per slot, plus one
+    std::vector<Slot> to;
+    [[nodiscard]] std::span<const Slot> targets(Slot s) const noexcept {
+      return {to.data() + off[s], to.data() + off[s + 1]};
+    }
+    /// Fills from packed (from << 32) | to pairs over `slots` slots; each
+    /// slot's targets keep their order in `pairs`.
+    void assign(const std::vector<std::uint64_t>& pairs, std::uint32_t slots);
+  };
+
+  std::vector<Slot> sorted_nodes_;  // all spec-alive slots, by order
+  std::vector<int> m_;              // per owner
+  FlatEdges eu_, er_, ec_;
+  std::vector<Slot> rl_, rr_;  // per slot
 };
 
 }  // namespace rechord::core

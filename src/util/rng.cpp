@@ -1,6 +1,7 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
 namespace rechord::util {
 
@@ -78,9 +79,11 @@ Rng Rng::split() noexcept { return Rng(next()); }
 std::vector<std::uint64_t> distinct_u64(Rng& rng, std::size_t n) {
   std::vector<std::uint64_t> out;
   out.reserve(n);
+  std::unordered_set<std::uint64_t> seen;
+  seen.reserve(n);
   while (out.size() < n) {
     const std::uint64_t v = rng.next();
-    if (std::find(out.begin(), out.end(), v) == out.end()) out.push_back(v);
+    if (seen.insert(v).second) out.push_back(v);
   }
   return out;
 }

@@ -137,6 +137,24 @@ TEST(DistinctU64, DeterministicPerSeed) {
   EXPECT_EQ(distinct_u64(a, 64), distinct_u64(b, 64));
 }
 
+TEST(DistinctU64, MatchesNaiveDrawAndReject) {
+  // The hash-set membership keeps the original draw-and-reject sequence:
+  // same values, same order, same number of draws consumed.
+  for (std::uint64_t seed : {1, 7, 12, 99}) {
+    for (std::size_t n : {0, 1, 2, 17, 1000, 5000}) {
+      Rng fast(seed), naive(seed);
+      std::vector<std::uint64_t> want;
+      while (want.size() < n) {
+        const std::uint64_t v = naive.next();
+        if (std::find(want.begin(), want.end(), v) == want.end())
+          want.push_back(v);
+      }
+      EXPECT_EQ(distinct_u64(fast, n), want) << "seed " << seed << " n " << n;
+      EXPECT_EQ(fast.next(), naive.next()) << "seed " << seed << " n " << n;
+    }
+  }
+}
+
 TEST(Poisson, SmallRateMeanCorrect) {
   Rng rng(5);
   double sum = 0.0;
