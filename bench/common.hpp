@@ -1,7 +1,8 @@
 #pragma once
-// Shared plumbing for the figure-reproduction benches: CLI defaults matching
-// the paper's experimental setup (§5: sizes 5..105, 30 random graphs per
-// size, mean values) and table/CSV emission helpers.
+// Shared plumbing for the measurement benches: the common CLI flags, CSV and
+// JSON-lines emission, the profiler guard, a wall-clock timer and the exact
+// fixpoint materializer. (The paper's figures and claims live in one
+// flag-free program, bench/claims.cpp.)
 
 #include <algorithm>
 #include <chrono>
@@ -17,7 +18,6 @@
 
 #include "core/spec.hpp"
 #include "gen/topologies.hpp"
-#include "sim/trial.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/profiler.hpp"
@@ -25,9 +25,6 @@
 #include "util/table.hpp"
 
 namespace rechord::bench {
-
-/// The paper's network sizes for Figures 5-7.
-inline const std::vector<std::int64_t> kPaperSizes{5, 15, 25, 35, 45, 65, 85, 105};
 
 struct BenchConfig {
   std::vector<std::size_t> sizes;
@@ -38,20 +35,13 @@ struct BenchConfig {
 
   static BenchConfig from_cli(const util::Cli& cli) {
     BenchConfig cfg;
-    for (auto v : cli.get_int_list("sizes", kPaperSizes))
+    for (auto v : cli.get_int_list("sizes", {}))
       cfg.sizes.push_back(static_cast<std::size_t>(v));
     cfg.trials = static_cast<std::size_t>(cli.get_int("trials", 30));
     cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
     cfg.threads = static_cast<unsigned>(cli.get_int("threads", 1));
     cfg.csv_path = cli.get("csv", "");
     return cfg;
-  }
-
-  [[nodiscard]] sim::TrialConfig base_trial() const {
-    sim::TrialConfig t;
-    t.seed = seed;
-    t.threads = threads;
-    return t;
   }
 };
 

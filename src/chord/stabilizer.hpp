@@ -5,7 +5,8 @@
 // but it is NOT self-stabilizing -- from an arbitrary weakly connected
 // pointer state (e.g. several disjoint successor loops) it can never merge
 // the components, because successor pointers only ever tighten within a loop.
-// bench/baseline_chord measures exactly this failure mode against Re-Chord.
+// The §1 row of bench/claims measures exactly this failure mode against
+// Re-Chord.
 
 #include <cstdint>
 #include <vector>

@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "graph/connectivity.hpp"
 #include "graph/digraph.hpp"
-#include "graph/dot.hpp"
 #include "graph/union_find.hpp"
 
 namespace rechord::graph {
@@ -110,28 +107,6 @@ TEST(Connectivity, StrongCycle) {
   g.add_edge(1, 2);
   g.add_edge(2, 0);
   EXPECT_TRUE(strongly_connected(g));
-}
-
-TEST(Dot, ContainsVerticesAndEdges) {
-  Digraph g(2);
-  g.add_edge(0, 1);
-  DotStyle style;
-  style.vertex_labels = {"a", "b"};
-  style.edge_colors = {"red"};
-  std::ostringstream out;
-  write_dot(out, g, style);
-  const std::string s = out.str();
-  EXPECT_NE(s.find("digraph"), std::string::npos);
-  EXPECT_NE(s.find("n0 -> n1"), std::string::npos);
-  EXPECT_NE(s.find("label=\"a\""), std::string::npos);
-  EXPECT_NE(s.find("color=\"red\""), std::string::npos);
-}
-
-TEST(Dot, DefaultLabelsAreIndices) {
-  Digraph g(1);
-  std::ostringstream out;
-  write_dot(out, g);
-  EXPECT_NE(out.str().find("label=\"0\""), std::string::npos);
 }
 
 }  // namespace
