@@ -4,7 +4,9 @@
 // Markdown: one row per claim (bound, grid, measured statistic, ratio to the
 // bound, verdict), then per-size detail tables. Its stdout is committed as
 // CLAIMS.md and the Release ctest `claims_ledger` diffs a fresh run against
-// it. No flags, one thread, no timing; exits 1 if any verdict fails.
+// it. No flags, one thread, no timing; exits 1 if any verdict fails. A last
+// section measures asynchrony and message loss, outside the paper's model,
+// and carries no verdict.
 //
 // Every seeded start is converged exactly once and every statistic comes
 // from that run. A trial counts only if it reaches the exact StableSpec
@@ -19,6 +21,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "chord/ideal_chord.hpp"
@@ -53,6 +56,9 @@ constexpr std::size_t kChurnOps = 4;  // joins, then leaves, then crashes
 const std::vector<std::size_t> kClassicSizes{8, 16, 24, 32, 48};
 constexpr std::size_t kClassicStarts = 20;
 constexpr std::uint64_t kClassicCap = 3000;
+constexpr std::size_t kFaultN = 24;
+constexpr std::size_t kFaultTrials = 10;
+constexpr std::uint64_t kFaultCap = 4000;
 
 double lg(std::size_t n) { return std::log2(static_cast<double>(n)); }
 double nlogn(std::size_t n) { return static_cast<double>(n) * lg(n); }
@@ -72,9 +78,7 @@ std::string of(std::size_t c, std::size_t t) {
 std::string str(std::size_t v) { return std::to_string(v); }
 std::string yes(bool b) { return b ? "yes" : "NO"; }
 
-void print_table(const char* title, const Row& head,
-                 const std::vector<Row>& rows) {
-  std::printf("## %s\n\n", title);
+void print_rows(const Row& head, const std::vector<Row>& rows) {
   auto line = [](const Row& cells) {
     for (const auto& c : cells) std::printf("| %s ", c.c_str());
     std::printf("|\n");
@@ -83,6 +87,12 @@ void print_table(const char* title, const Row& head,
   line(Row(head.size(), "---"));
   for (const auto& r : rows) line(r);
   std::printf("\n");
+}
+
+void print_table(const char* title, const Row& head,
+                 const std::vector<Row>& rows) {
+  std::printf("## %s\n\n", title);
+  print_rows(head, rows);
 }
 
 bool exact(const core::RunResult& r) { return r.stabilized && r.spec_exact; }
@@ -231,6 +241,46 @@ ClassicSize run_classic(std::size_t n) {
     }
   }
   return c;
+}
+
+/// Beyond the model: §2.1 assumes synchronous, reliable rounds. One
+/// probability of a fault sweep over the registered sleepy-bringup (each
+/// peer sleeps through a round with probability p) or lossy-bringup (each
+/// delayed assignment is dropped with probability p) timeline, measured at
+/// its AwaitAlmost checkpoint.
+struct FaultPoint {
+  std::size_t recovered = 0;
+  util::OnlineStats rounds;  // rounds to almost-stable, recovered trials
+  util::OnlineStats drops;   // messages dropped per trial
+};
+
+FaultPoint run_faults(const char* scenario, double p) {
+  FaultPoint pt;
+  for (std::size_t t = 0; t < kFaultTrials; ++t) {
+    sim::ScenarioParams params;
+    params.n = kFaultN;
+    params.seed = kSeed + t;
+    params.intensity = p;
+    params.engine.fault_seed = kSeed + 31 * t;
+    // Only the under-fault AwaitAlmost phase is measured: raise its cap and
+    // drop the fault-free exact phase after it (expensive at heavy faults).
+    sim::Scenario sc = sim::find_scenario(scenario)->build(params);
+    for (std::size_t i = 0; i < sc.timeline.size(); ++i) {
+      if (auto* almost = std::get_if<sim::AwaitAlmost>(&sc.timeline[i])) {
+        almost->max_rounds = kFaultCap;
+        sc.timeline.resize(i + 1);
+        break;
+      }
+    }
+    const auto out = sim::run_scenario(sc, params);
+    const auto& almost = out.checkpoints.front();
+    pt.drops.add(static_cast<double>(out.messages_dropped));
+    if (almost.reached) {
+      ++pt.recovered;
+      pt.rounds.add(static_cast<double>(almost.rounds));
+    }
+  }
+  return pt;
 }
 
 }  // namespace
@@ -512,5 +562,38 @@ int main() {
                "re-chord recovered", "re-chord rounds"},
               classic_rows);
   std::printf("* mean rounds over the starts that recovered.\n");
+
+  std::vector<Row> sleep_rows, loss_rows;
+  double sync_rounds = 0.0;
+  for (double p : {0.0, 0.2, 0.4, 0.6, 0.8}) {
+    const auto pt = run_faults("sleepy-bringup", p);
+    if (p == 0.0) sync_rounds = pt.rounds.mean();
+    sleep_rows.push_back(
+        {fixed(p, 1), pct(pt.recovered, kFaultTrials, 0),
+         fixed(pt.rounds.mean(), 1),
+         fixed(sync_rounds > 0 ? pt.rounds.mean() / sync_rounds : 1.0, 2) +
+             "x"});
+  }
+  for (double p : {0.0, 0.02, 0.05, 0.1, 0.2, 0.4}) {
+    const auto pt = run_faults("lossy-bringup", p);
+    loss_rows.push_back(
+        {fixed(p, 2), pct(pt.recovered, kFaultTrials, 0),
+         pt.rounds.count() ? fixed(pt.rounds.mean(), 1) : "-",
+         fixed(pt.drops.mean(), 0)});
+  }
+  std::printf(
+      "\n## Beyond the model: asynchrony and message loss\n\n"
+      "The paper's model is synchronous and reliable (§2.1), so these sweeps\n"
+      "carry no verdict. Each probability runs %zu trials at n=%zu (trial t:\n"
+      "seed 1 + t, fault seed 1 + 31 t) to almost-stability, capped at %llu\n"
+      "rounds. Sleep: each peer skips a round with that probability. Loss:\n"
+      "each delayed assignment is dropped with that probability.\n\n",
+      kFaultTrials, kFaultN, static_cast<unsigned long long>(kFaultCap));
+  print_rows(
+      {"sleep prob", "recovered", "rounds to almost", "slowdown vs sync"},
+      sleep_rows);
+  print_rows({"loss prob", "recovered", "rounds to almost", "msgs dropped"},
+             loss_rows);
+  std::printf("Rounds to almost: mean over the trials that recovered.\n");
   return passed == claims.size() ? 0 : 1;
 }

@@ -150,7 +150,8 @@ struct EngineOptions {
   /// output). Ignored under full_scan.
   bool paranoid_replay = false;
 
-  // -- fault injection (beyond the paper's model; see bench/fault_tolerance)
+  // -- fault injection (beyond the paper's model; see the "Beyond the
+  // model" section of CLAIMS.md)
   /// Probability that a peer does NOT act in a given round (asynchrony /
   /// partial activation). 0 = the paper's fully synchronous model. With
   /// activation faults, fixpoint detection can fire spuriously (a round in

@@ -100,21 +100,4 @@ double Cli::get_double(const std::string& key, double fallback) const {
   return parse_double(key, it->second);
 }
 
-std::vector<std::int64_t> Cli::get_int_list(
-    const std::string& key, std::vector<std::int64_t> fallback) const {
-  const auto it = kv_.find(key);
-  if (it == kv_.end() || it->second.empty()) return fallback;
-  std::vector<std::int64_t> out;
-  const std::string& s = it->second;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    auto comma = s.find(',', start);
-    if (comma == std::string::npos) comma = s.size();
-    if (comma > start)
-      out.push_back(parse_int(key, s.substr(start, comma - start)));
-    start = comma + 1;
-  }
-  return out.empty() ? fallback : out;
-}
-
 }  // namespace rechord::util

@@ -18,7 +18,7 @@ class Cli {
   [[nodiscard]] bool has(const std::string& key) const;
   /// Boolean flag: true for bare `--key`, `--key 1`, `--key=true` etc.;
   /// false when absent or given an explicit falsy value (`--key 0`,
-  /// `--key=false`). Used for --full-scan, --no-verify, --profile.
+  /// `--key=false`). Used for --full-scan, --profile, --all.
   [[nodiscard]] bool get_flag(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
@@ -31,10 +31,6 @@ class Cli {
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
-  /// Comma-separated integer list, e.g. --sizes 5,15,25 (each element
-  /// parsed strictly like get_int).
-  [[nodiscard]] std::vector<std::int64_t> get_int_list(
-      const std::string& key, std::vector<std::int64_t> fallback) const;
 
   // Shared scenario/export plumbing: every bench and example that can run a
   // registered scenario or emit CSV reads these two flags through the same

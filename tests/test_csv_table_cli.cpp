@@ -125,22 +125,6 @@ TEST(Cli, PositionalArguments) {
   EXPECT_EQ(cli.program(), "prog");
 }
 
-TEST(Cli, IntegerList) {
-  const char* argv[] = {"prog", "--sizes", "5,15,25"};
-  const Cli cli(3, argv);
-  const auto v = cli.get_int_list("sizes", {});
-  ASSERT_EQ(v.size(), 3U);
-  EXPECT_EQ(v[0], 5);
-  EXPECT_EQ(v[2], 25);
-}
-
-TEST(Cli, IntegerListFallback) {
-  const char* argv[] = {"prog"};
-  const Cli cli(1, argv);
-  const auto v = cli.get_int_list("sizes", {1, 2});
-  ASSERT_EQ(v.size(), 2U);
-}
-
 TEST(Cli, DoubleValues) {
   const char* argv[] = {"prog", "--p=0.25"};
   const Cli cli(2, argv);
@@ -176,12 +160,6 @@ TEST(Cli, OutOfRangeIntegerThrows) {
   const char* argv[] = {"prog", "--n", "99999999999999999999999"};
   const Cli cli(3, argv);
   EXPECT_THROW((void)cli.get_int("n", 0), std::invalid_argument);
-}
-
-TEST(Cli, MalformedListElementThrows) {
-  const char* argv[] = {"prog", "--sizes", "5,1x5,25"};
-  const Cli cli(3, argv);
-  EXPECT_THROW((void)cli.get_int_list("sizes", {}), std::invalid_argument);
 }
 
 TEST(Cli, StrictParsingStillAcceptsValidForms) {
