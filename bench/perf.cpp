@@ -94,12 +94,14 @@ bool warm_up(core::Engine& engine) {
 
 struct Timed {
   Work work;
+  std::uint64_t certified = 0;  // rounds answered by a quiescence certificate
   double ns_per_round = 0.0;
   bool fixed = true;  // no round changed the state
 };
 
 Timed run_rounds(core::Engine& engine, std::size_t rounds) {
   Timed t;
+  const std::uint64_t certified0 = engine.certified_rounds();
   bench::WallTimer timer;
   for (std::size_t r = 0; r < rounds; ++r) {
     const auto mt = engine.step();
@@ -107,6 +109,7 @@ Timed run_rounds(core::Engine& engine, std::size_t rounds) {
     t.work.add(mt);
   }
   t.ns_per_round = timer.elapsed_ns() / static_cast<double>(rounds);
+  t.certified = engine.certified_rounds() - certified0;
   return t;
 }
 
@@ -129,8 +132,12 @@ double run_steady(const core::Network& base, std::size_t n) {
   const Timed tf = run_rounds(full, 3);
   fixed &= ta.fixed && tf.fixed;
   exact.record("steady", p, "fixpoint_held", std::uint64_t{fixed});
-  ta.work.record("steady", {{"n", num(n)}, {"engine", bench::jstr("active")}});
-  tf.work.record("steady", {{"n", num(n)}, {"engine", bench::jstr("full")}});
+  const Params pa{{"n", num(n)}, {"engine", bench::jstr("active")}};
+  const Params pf{{"n", num(n)}, {"engine", bench::jstr("full")}};
+  ta.work.record("steady", pa);
+  exact.record("steady", pa, "certified_rounds", ta.certified);
+  tf.work.record("steady", pf);
+  exact.record("steady", pf, "certified_rounds", tf.certified);
   const double speedup = tf.ns_per_round / ta.ns_per_round;
   wall.record("steady", p, "active_ns_per_round", ta.ns_per_round);
   wall.record("steady", p, "full_ns_per_round", tf.ns_per_round);
@@ -201,6 +208,7 @@ struct Load {
 struct LoadResult {
   std::uint64_t issued = 0, done = 0, inflight = 0;  // over the window
   std::uint64_t p50 = 0, p99 = 0, max = 0;  // window rounds in flight
+  std::uint64_t certified = 0;  // window rounds answered by a certificate
   double window_ms = 0.0;
   bool drained = false;  // the queue emptied before the drain guard
   std::uint64_t fingerprint = 0;  // after the drain: the whole workload
@@ -254,9 +262,11 @@ LoadResult run_load(const core::Network& base, std::size_t n,
   const std::uint64_t issued0 = req.totals().issued;
   const std::uint64_t done0 = req.totals().completed();
   harvested = req.completions_dropped() + req.completions().size();
+  const std::uint64_t certified0 = engine.certified_rounds();
   bench::WallTimer timer;
   drive(load.rounds, true);
   res.window_ms = timer.elapsed_ns() / 1e6;
+  res.certified = engine.certified_rounds() - certified0;
   res.issued = req.totals().issued - issued0;
   res.done = req.totals().completed() - done0;
   res.inflight = req.inflight();
@@ -296,6 +306,7 @@ void run_throughput(const core::Network& base, std::size_t n) {
     exact.record("throughput", p, "p99_rounds", r.p99);
     exact.record("throughput", p, "max_rounds", r.max);
     exact.record("throughput", p, "fingerprint", hex(r.fingerprint));
+    exact.record("throughput", p, "certified_rounds", r.certified);
     wall.record("throughput", p, "req_per_sec",
                 static_cast<double>(r.done) / (r.window_ms / 1e3));
     wall.record("throughput", p, "ms_per_round",

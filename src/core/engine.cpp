@@ -107,6 +107,7 @@ void Engine::inflight_ref_add(std::uint32_t owner) {
 void Engine::set_partition(std::vector<std::uint8_t> group_of_owner) {
   partition_group_ = std::move(group_of_owner);
   partition_active_ = true;
+  ++inputs_epoch_;
 }
 
 void Engine::ensure_scheduler_arrays() {
@@ -819,6 +820,21 @@ RoundMetrics Engine::step() {
   // into profiler buffers, and every trace event derives from deterministic
   // round state (see DESIGN.md §11).
   util::ScopedPhase step_span(util::Phase::kStepTotal);
+  if (cert_valid_ && cert_version_ == net_.topology_version() &&
+      cert_epoch_ == inputs_epoch_) {
+    // Certified quiescent round (DESIGN.md §6.7): the previous round skipped
+    // every live peer, emitted nothing and changed nothing, and no input has
+    // moved since, so this round is that round again.
+    RoundMetrics mt;
+    {
+      util::ScopedPhase fixpoint_span(util::Phase::kFixpoint);
+      ++round_;
+      ++certified_rounds_;
+      mt = cert_metrics_;
+      mt.round = round_;
+    }
+    return publish_round(mt);
+  }
   const bool active = active_mode();
   // Routing only matters while a message CAN be delayed or one still is; a
   // flattened (trivial) model with a drained queue reverts to the plain
@@ -1072,6 +1088,7 @@ RoundMetrics Engine::step() {
   changed_owners_.clear();
   published_owners_.clear();
   mt.changed = net_.consume_round_changes(&changed_owners_, &published_owners_);
+  const bool out_of_band = !oob_owners_.empty();
   if (active) apply_wakes();
   if (!dc_of_owner_.empty()) {
     // Which datacenters moved this round (per-dc convergence lag, scenario
@@ -1088,14 +1105,28 @@ RoundMetrics Engine::step() {
   // (the queued deliveries land in later rounds). Applies identically in
   // every scheduler mode, so the verdict stays mode-independent.
   if (inflight_count_ > 0) mt.changed = true;
+  // Certify the round iff it was a pure skip: every live peer skipped
+  // outright (no live run, no replay, deferred or not, no emit-only
+  // delivery), no change, no queued message, no pending index rebuild and no
+  // out-of-band dirt. paranoid_replay never certifies (skip_possible).
+  cert_valid_ = skip_possible() && mt.active_peers == 0 &&
+                mt.replayed_peers == 0 && mt.boundary_peers == 0 &&
+                !mt.changed && inflight_count_ == 0 && !latency_round_ &&
+                !bulk_round_ && !mass_reg_pending_ && !out_of_band;
+  if (cert_valid_) {
+    cert_version_ = net_.topology_version();
+    cert_epoch_ = inputs_epoch_;
+    cert_metrics_ = mt;
   }
-  {
-    util::Tracer& tr = util::Tracer::instance();
-    if (tr.enabled())
-      tr.note({round_, 0, mt.active_peers, mt.replayed_peers,
-               mt.skipped_peers, mt.boundary_peers,
-               util::TraceKind::kRound});
   }
+  return publish_round(mt);
+}
+
+RoundMetrics Engine::publish_round(const RoundMetrics& mt) {
+  util::Tracer& tr = util::Tracer::instance();
+  if (tr.enabled())
+    tr.note({round_, 0, mt.active_peers, mt.replayed_peers, mt.skipped_peers,
+             mt.boundary_peers, util::TraceKind::kRound});
   if (observer_) observer_(mt);
   return mt;
 }

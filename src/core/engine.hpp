@@ -50,7 +50,9 @@
 // exact-fixpoint tail costs O(total chain length) live peer-rounds instead
 // of O(n * rounds). At
 // the fixpoint every peer is skipped and a round costs a few O(owners)
-// scans; under churn the eviction tracks the perturbed op-flow region. The
+// scans, and every round after the first such round is a CERTIFIED
+// quiescent round that costs O(1) (DESIGN.md §6.7); under churn the
+// eviction tracks the perturbed op-flow region. The
 // result is bit-identical to the full scan (EngineOptions::full_scan, the
 // one reference oracle), serial and sharded, which tests/test_scheduler.cpp
 // asserts.
@@ -195,7 +197,18 @@ class Engine {
   /// resets the scheduler (every peer runs live, reader index rebuilt).
   /// Out-of-band mutations *without* a reset are also safe: the engine's
   /// pre-round scan picks the dirty marks up and wakes the affected peers.
-  void reset_change_tracking() { baseline_ready_ = false; }
+  void reset_change_tracking() noexcept {
+    baseline_ready_ = false;
+    ++inputs_epoch_;
+  }
+
+  /// Rounds answered by a quiescence certificate (DESIGN.md §6.7): the round
+  /// before was an all-skipped fixpoint round and no round input moved since,
+  /// so step() returned its metrics without touching an owner. Cumulative;
+  /// always 0 under full_scan, paranoid_replay or an open fault window.
+  [[nodiscard]] std::uint64_t certified_rounds() const noexcept {
+    return certified_rounds_;
+  }
 
   // -- mid-run scenario hooks (timeline engine, DESIGN.md §7) ---------------
   //
@@ -238,8 +251,14 @@ class Engine {
   /// from the window need no grace period: the rule-(3) eviction keeps every
   /// owner an in-flight message references out of the skip set until the
   /// queue drains.
-  void set_message_loss(double p) noexcept { opt_.message_loss = p; }
-  void set_sleep_probability(double p) noexcept { opt_.sleep_probability = p; }
+  void set_message_loss(double p) noexcept {
+    opt_.message_loss = p;
+    ++inputs_epoch_;
+  }
+  void set_sleep_probability(double p) noexcept {
+    opt_.sleep_probability = p;
+    ++inputs_epoch_;
+  }
 
   /// Begins a partition window: a delayed assignment whose target owner and
   /// payload owner sit on different sides of the cut is dropped at commit
@@ -258,6 +277,7 @@ class Engine {
     if (partition_active_) partition_grace_ = true;
     partition_active_ = false;
     partition_group_.clear();
+    ++inputs_epoch_;
   }
   [[nodiscard]] bool partition_active() const noexcept {
     return partition_active_;
@@ -296,6 +316,7 @@ class Engine {
     latency_ = std::move(model);
     latency_installed_ = true;
     ++latency_epoch_;
+    ++inputs_epoch_;
   }
   [[nodiscard]] const LatencyModel& latency_model() const noexcept {
     return latency_;
@@ -311,6 +332,7 @@ class Engine {
     dc_max_ = 0;
     for (const std::uint8_t d : dc_of_owner_) dc_max_ = std::max(dc_max_, d);
     ++latency_epoch_;
+    ++inputs_epoch_;
   }
   [[nodiscard]] std::uint8_t datacenter_of(std::uint32_t owner) const noexcept {
     return owner < dc_of_owner_.size() ? dc_of_owner_[owner] : 0;
@@ -461,6 +483,21 @@ class Engine {
   RuleActivity activity_;
   bool baseline_ready_ = false;  // incremental-tracking baseline
 
+  // Quiescence certificate (DESIGN.md §6.7). Issued at the end of a round in
+  // which every live peer was skipped outright and nothing was emitted,
+  // queued or changed; such a round leaves every input of the next step()
+  // as it found it, so the next round is the same round. While the network's
+  // topology_version() and inputs_epoch_ still match the stamps, step()
+  // returns the stored metrics without touching an owner. Every setter of a
+  // round input outside the network bumps inputs_epoch_; every network
+  // mutation (membership hooks, direct network() edits) bumps the version.
+  std::uint64_t inputs_epoch_ = 0;
+  bool cert_valid_ = false;
+  std::uint64_t cert_version_ = 0;
+  std::uint64_t cert_epoch_ = 0;
+  RoundMetrics cert_metrics_;
+  std::uint64_t certified_rounds_ = 0;
+
   // Round working set, reused across rounds so a steady-state round
   // allocates nothing (capacity persists between calls).
   std::vector<std::uint32_t> owners_;
@@ -578,6 +615,9 @@ class Engine {
                                     const std::vector<DelayedOp>& ops) const;
   void note_op_sender(std::uint32_t referenced, std::uint32_t sender);
   void rebuild_flow_indices();
+  /// End of every step(), certified or not: the kRound trace event and the
+  /// round observer.
+  RoundMetrics publish_round(const RoundMetrics& mt);
 };
 
 }  // namespace rechord::core

@@ -1,6 +1,7 @@
 #include "net/request_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/worker_pool.hpp"
 #include "dht/kv_store.hpp"
@@ -579,13 +580,52 @@ void RequestEngine::prune_mono_ledger() {
   // re-prune every round. Pruned keys can no longer witness a violation --
   // the documented trade for bounded memory under open-loop load.
   const std::size_t target = opt_.mono_ledger_cap - opt_.mono_ledger_cap / 4;
-  std::vector<std::pair<std::uint64_t, RingPos>> order;
-  order.reserve(mono_.size());
-  for (const auto& [k, e] : mono_) order.emplace_back(e.round, k);
-  const std::size_t drop = mono_.size() - target;
-  std::nth_element(order.begin(), order.begin() + (drop - 1), order.end());
-  std::sort(order.begin(), order.begin() + drop);
-  for (std::size_t i = 0; i < drop; ++i) mono_.erase(order[i].second);
+  prune_oldest(mono_, mono_.size() - target);
+}
+
+void prune_oldest(MonoLedger& ledger, std::size_t drop) {
+  if (drop >= ledger.size()) {
+    ledger.clear();
+    return;
+  }
+  if (drop == 0) return;
+  std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
+  for (const auto& [key, e] : ledger) {
+    lo = std::min(lo, e.round);
+    hi = std::max(hi, e.round);
+  }
+  // Radix select of the drop-th smallest round, on round - lo, most
+  // significant 16-bit digit first. `prefix` holds the digits fixed so far
+  // and `need` the cut's rank among the entries that share them; after the
+  // last pass the cut round is lo + prefix and `need` of its entries go.
+  constexpr unsigned kDigit = 16;
+  const unsigned bits = static_cast<unsigned>(std::bit_width(hi - lo));
+  const unsigned top = bits > kDigit ? (bits - 1) / kDigit * kDigit : 0;
+  std::vector<std::uint32_t> hist(std::size_t{1} << kDigit);
+  std::uint64_t prefix = 0;
+  std::size_t need = drop;
+  for (unsigned shift = top;; shift -= kDigit) {
+    std::fill(hist.begin(), hist.end(), 0);
+    for (const auto& [key, e] : ledger) {
+      const std::uint64_t rel = e.round - lo;
+      if (shift != top && (rel >> (shift + kDigit)) != prefix) continue;
+      ++hist[(rel >> shift) & (hist.size() - 1)];
+    }
+    std::size_t d = 0;
+    for (; hist[d] < need; ++d) need -= hist[d];
+    prefix = (prefix << kDigit) | d;
+    if (shift == 0) break;
+  }
+  const std::uint64_t cut = lo + prefix;
+  for (auto it = ledger.begin(); it != ledger.end();) {
+    const std::uint64_t r = it->second.round;
+    if (r < cut || (r == cut && need > 0)) {
+      if (r == cut) --need;
+      it = ledger.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 void RequestEngine::finish(std::uint32_t slot, RequestStatus status) {

@@ -147,6 +147,21 @@ struct RequestOptions {
   std::size_t mono_ledger_cap = 0;
 };
 
+/// Monotonic-searchability ledger: key -> (last resolution round, owner).
+struct MonoEntry {
+  std::uint64_t round = 0;
+  std::uint32_t owner = 0;
+};
+using MonoLedger = std::map<RingPos, MonoEntry>;
+
+/// Erases the first `drop` entries of `ledger` in (round, key) order -- the
+/// RequestOptions::mono_ledger_cap eviction -- without materializing that
+/// order: a radix select over the resolution rounds (16 bits per pass, one
+/// pass while the rounds span fewer than 2^16) finds the cut round, then one
+/// pass in key order erases everything older plus the first keys of the cut
+/// round. Scratch is one 256 KiB histogram, not a 16-byte pair per entry.
+void prune_oldest(MonoLedger& ledger, std::size_t drop);
+
 /// Completion record of one request (success or failure).
 struct RequestRecord {
   std::uint64_t id = 0;
@@ -491,12 +506,7 @@ class RequestEngine {
 
   std::vector<Shard> shards_;
 
-  /// Monotonic-searchability ledger: key -> (last resolution round, owner).
-  struct MonoEntry {
-    std::uint64_t round = 0;
-    std::uint32_t owner = 0;
-  };
-  std::map<RingPos, MonoEntry> mono_;
+  MonoLedger mono_;
   std::deque<RequestRecord> completions_;
   std::uint64_t completions_dropped_ = 0;
   RequestTotals totals_;

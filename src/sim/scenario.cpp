@@ -160,6 +160,7 @@ class ScenarioRunner {
     out_.final_metrics = last_metrics_;
     out_.messages_dropped = engine_.messages_dropped();
     out_.partition_dropped = engine_.partition_dropped();
+    out_.certified_rounds = engine_.certified_rounds();
     // Whole-run totals that only exist at the end join the registry here,
     // so the end-of-run summary is one snapshot.
     metrics_.counter_set("req.issued", out_.requests.issued);

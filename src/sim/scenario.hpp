@@ -120,6 +120,9 @@ struct ScenarioOutcome {
   std::uint64_t live_peer_rounds = 0;
   std::uint64_t replayed_peer_rounds = 0;
   std::uint64_t skipped_peer_rounds = 0;
+  /// Rounds the engine answered from a quiescence certificate
+  /// (core::Engine::certified_rounds; DESIGN.md §6.7).
+  std::uint64_t certified_rounds = 0;
   /// End-of-run snapshot of the runner's metrics registry (DESIGN.md §11):
   /// the same named values the per-round CSV columns are read from.
   util::MetricsSnapshot metrics;

@@ -33,7 +33,8 @@ enum class Phase : std::uint8_t {
   kCommit,            // simultaneous delivery of the round's ops
   kPublishNormalize,  // rl/rr publication + network normalize
   kIndexRebuild,      // deferred ground-truth flow-index rebuild
-  kFixpoint,          // change consumption, wake application, metrics
+  kFixpoint,          // change consumption, wake application, metrics;
+                      // all of a certified quiescent round
   kReqShardAdvance,   // request engine: per-shard deliver + batch advance
   kReqMerge,          // request engine: serial shard-major merge
   kCount,

@@ -298,15 +298,19 @@ void expect_same_outcome(const sim::ScenarioOutcome& ref,
   EXPECT_EQ(obs.live_peer_rounds, ref.live_peer_rounds) << label;
   EXPECT_EQ(obs.replayed_peer_rounds, ref.replayed_peer_rounds) << label;
   EXPECT_EQ(obs.skipped_peer_rounds, ref.skipped_peer_rounds) << label;
+  EXPECT_EQ(obs.certified_rounds, ref.certified_rounds) << label;
 }
 
 // The tentpole contract: arming the profiler AND the tracer leaves every
 // registered scenario's outcome bit-identical across {active, full-scan} x
 // {1, 8 threads}. One flags-off reference per scheduler mode (the
 // scheduler-work split legitimately differs between modes; everything else
-// is already mode-invariant per test_scenario).
+// is already mode-invariant per test_scenario). The active-mode runs must
+// include certified quiescent rounds (DESIGN.md §6.7), so the contract
+// covers the certificate's short-circuit too.
 TEST(ObservabilityDeterminism, FlagsOnBitIdenticalForEveryScenario) {
   const ObsSingletonGuard guard;
+  std::uint64_t certified = 0;
   for (const auto& info : sim::scenario_registry()) {
     sim::ScenarioParams base;
     base.n = 70;
@@ -318,6 +322,10 @@ TEST(ObservabilityDeterminism, FlagsOnBitIdenticalForEveryScenario) {
       ObsSingletonGuard::restore();  // flags off for the reference
       const auto ref = sim::run_registered_scenario(info.name, ref_params);
       EXPECT_TRUE(ref.ok) << info.name;
+      if (full_scan) {
+        EXPECT_EQ(ref.certified_rounds, 0U) << info.name;
+      }
+      certified += ref.certified_rounds;
       for (const unsigned threads : {1U, 8U}) {
         sim::ScenarioParams params = ref_params;
         params.engine.threads = threads;
@@ -333,6 +341,40 @@ TEST(ObservabilityDeterminism, FlagsOnBitIdenticalForEveryScenario) {
       }
     }
   }
+  EXPECT_GT(certified, 0U);
+}
+
+// A certified round is observed exactly like the all-skipped round it
+// stands for: the observer sees it, it emits its kRound event, and its time
+// lands in kFixpoint, so every step is attributed to a named phase.
+TEST(ObservabilityDeterminism, CertifiedRoundsAreTracedTimedAndObserved) {
+  const ObsSingletonGuard guard;
+  sim::ScenarioParams params;
+  params.n = 48;
+  params.seed = 1;
+  const auto ref = sim::run_registered_scenario("open-loop-lookups", params);
+  ASSERT_GT(ref.certified_rounds, 0U);
+  util::Profiler::instance().set_enabled(true);
+  Tracer::instance().set_enabled(true);
+  Tracer::instance().clear();
+  const auto obs = sim::run_registered_scenario("open-loop-lookups", params);
+  util::Profiler::instance().set_enabled(false);
+  Tracer::instance().set_enabled(false);
+  expect_same_outcome(ref, obs, "open-loop-lookups");
+  ASSERT_EQ(Tracer::instance().overwritten(), 0U);
+  std::uint64_t round_events = 0;
+  Tracer::instance().for_each([&](const TraceEvent& e) {
+    if (e.kind == TraceKind::kRound) ++round_events;
+  });
+  EXPECT_EQ(round_events, obs.total_rounds);
+  const auto snap = util::Profiler::instance().snapshot();
+  const std::map<Phase, util::PhaseStats> by_phase(snap.begin(), snap.end());
+  ASSERT_TRUE(by_phase.count(Phase::kStepTotal));
+  ASSERT_TRUE(by_phase.count(Phase::kFixpoint));
+  EXPECT_EQ(by_phase.at(Phase::kFixpoint).count,
+            by_phase.at(Phase::kStepTotal).count);
+  EXPECT_GT(by_phase.at(Phase::kStepTotal).count,
+            by_phase.at(Phase::kRulePhase).count);
 }
 
 // Trace CONTENT is deterministic state only, and parallel sections drain

@@ -569,6 +569,58 @@ TEST(RequestEngine, MonoLedgerCapBoundsMemory) {
   EXPECT_EQ(bounded.resolved, unbounded.resolved);
 }
 
+// The ledger eviction against the algorithm it replaced, kept here as the
+// reference: materialize every (round, key) pair, select the `drop` smallest
+// and erase them. Rounds are drawn over spans that take one, two and four
+// radix passes, with heavy ties (the cut falls inside a round's keys) and
+// the edge drops 1, size - 1 and size.
+MonoLedger reference_prune(MonoLedger ledger, std::size_t drop) {
+  std::vector<std::pair<std::uint64_t, core::RingPos>> order;
+  for (const auto& [k, e] : ledger) order.emplace_back(e.round, k);
+  std::sort(order.begin(), order.end());
+  for (std::size_t i = 0; i < drop && i < order.size(); ++i)
+    ledger.erase(order[i].second);
+  return ledger;
+}
+
+TEST(RequestEngine, MonoLedgerPruneMatchesTheSortReference) {
+  util::Rng rng(29);
+  std::size_t cases = 0;
+  for (const std::uint64_t span :
+       {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{3000},
+        std::uint64_t{1} << 20, ~std::uint64_t{0}}) {
+    for (const std::size_t size : {1, 2, 50, 700}) {
+      MonoLedger ledger;
+      const std::uint64_t base = rng.next() >> 1;
+      while (ledger.size() < size) {
+        const std::uint64_t r = span == ~std::uint64_t{0}
+                                    ? rng.next()
+                                    : base + rng.below(span);
+        ledger[rng.next()] = {r, static_cast<std::uint32_t>(ledger.size())};
+      }
+      for (const std::size_t drop :
+           {std::size_t{0}, std::size_t{1}, size / 4, size / 2, size - 1,
+            size}) {
+        MonoLedger pruned = ledger;
+        prune_oldest(pruned, drop);
+        ASSERT_EQ(pruned.size(), size - drop)
+            << "span " << span << " size " << size << " drop " << drop;
+        const MonoLedger want = reference_prune(ledger, drop);
+        ASSERT_TRUE(std::equal(pruned.begin(), pruned.end(), want.begin(),
+                               want.end(),
+                               [](const auto& a, const auto& b) {
+                                 return a.first == b.first &&
+                                        a.second.round == b.second.round &&
+                                        a.second.owner == b.second.owner;
+                               }))
+            << "span " << span << " size " << size << " drop " << drop;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 5U * 4U * 6U);
+}
+
 // The request CSV columns: every round row carries req_inflight/req_done/
 // req_failed/mono_violations/dc_lag_max, and the header names them.
 TEST(RequestEngine, ScenarioCsvCarriesRequestAndDcLagColumns) {

@@ -10,12 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <string>
 
+#include "../bench/common.hpp"
 #include "core/churn.hpp"
 #include "core/convergence.hpp"
 #include "core/engine.hpp"
 #include "core/spec.hpp"
 #include "gen/topologies.hpp"
+#include "net/request_engine.hpp"
 #include "test_util.hpp"
 
 namespace rechord::core {
@@ -598,6 +602,158 @@ TEST(Scheduler, InFlightReferencedPeersNeverRestingAndGateFixpoint) {
   }
   // The stationary cross-dc op flow must actually keep the queue populated.
   EXPECT_GT(inflight_seen, 20U);
+}
+
+// -- certified quiescent rounds (DESIGN.md §6.7) -----------------------------
+
+// A certified round hands back the previous all-skipped round's metrics
+// without touching an owner, so every change to a round input must void the
+// certificate. From a materialized fixpoint with lookups in flight, each
+// input change is applied once to the active engine (1 and 2 threads), to
+// the full scan and to a paranoid_replay engine. The round right after each
+// change must not be certified, and every round must agree with the full
+// scan on the fingerprint, the fixpoint verdict, the rule activity and every
+// mode-independent metric. Between changes the active engine must reach
+// certified rounds again, so no check passes vacuously. The full scan and
+// the paranoid engine never certify.
+TEST(Scheduler, CertifiedRoundsVoidOnEveryInputChange) {
+  const Network base = bench::stable_network(96, 7);
+  for (const unsigned threads : {1U, 2U}) {
+    Engine active(base, {.threads = threads});
+    Engine full(base, {.threads = 1, .full_scan = true});
+    Engine paranoid(base, {.threads = threads, .paranoid_replay = true});
+    net::RequestEngine req_active(active, {.seed = 5});
+    net::RequestEngine req_full(full, {.seed = 5});
+    const auto each = [&](const std::function<void(Engine&)>& apply) {
+      for (Engine* e : {&active, &full, &paranoid}) apply(*e);
+    };
+    util::Rng rng(threads * 1009);
+    std::string stage = "start";
+    int round = 0;
+    const auto where = [&] {
+      return ::testing::Message() << "threads=" << threads << " " << stage
+                                  << " round " << round;
+    };
+    // One lockstep round with two fresh lookups; true iff `active`
+    // certified it.
+    const auto step = [&]() -> bool {
+      const auto owners = active.network().live_owners();
+      for (int k = 0; k < 2; ++k) {
+        const RingPos key = rng.next();
+        const std::uint32_t origin = owners[rng.below(owners.size())];
+        req_active.submit_lookup(key, origin);
+        req_full.submit_lookup(key, origin);
+      }
+      const std::uint64_t before = active.certified_rounds();
+      const auto ma = active.step();
+      const auto mf = full.step();
+      const auto mp = paranoid.step();
+      req_active.on_round();
+      req_full.on_round();
+      ++round;
+      EXPECT_EQ(ma.changed, mf.changed) << where();
+      EXPECT_EQ(mp.changed, mf.changed) << where();
+      EXPECT_EQ(active.network().state_fingerprint(),
+                full.network().state_fingerprint())
+          << where();
+      EXPECT_EQ(paranoid.network().state_fingerprint(),
+                full.network().state_fingerprint())
+          << where();
+      EXPECT_TRUE(active.last_activity() == full.last_activity()) << where();
+      EXPECT_EQ(ma.round, mf.round) << where();
+      EXPECT_EQ(ma.real_nodes, mf.real_nodes) << where();
+      EXPECT_EQ(ma.virtual_nodes, mf.virtual_nodes) << where();
+      EXPECT_EQ(ma.total_edges(), mf.total_edges()) << where();
+      EXPECT_EQ(ma.inflight_messages, mf.inflight_messages) << where();
+      EXPECT_EQ(ma.dc_count, mf.dc_count) << where();
+      EXPECT_EQ(ma.dc_changed_bits, mf.dc_changed_bits) << where();
+      EXPECT_EQ(paranoid.replay_check_failures(), 0U) << where();
+      return active.certified_rounds() > before;
+    };
+    // Runs until three certified rounds in a row (the certificate must
+    // re-engage after every perturbation).
+    const auto settle = [&] {
+      int streak = 0;
+      for (int r = 0; r < 3000 && streak < 3 && !HasFailure(); ++r)
+        streak = step() ? streak + 1 : 0;
+      EXPECT_EQ(streak, 3) << where() << ": certified rounds never resumed";
+    };
+    // Settles, applies one input change and checks the next round.
+    const auto change = [&](const char* what,
+                            const std::function<void(Engine&)>& apply) {
+      settle();
+      stage = what;
+      each(apply);
+      EXPECT_FALSE(step()) << where() << ": the change left the certificate";
+    };
+    // A fault window: no round inside it is certified, nor the first one
+    // after it closes.
+    const auto window = [&](const char* open, const char* close,
+                            const std::function<void(Engine&)>& set,
+                            const std::function<void(Engine&)>& clear) {
+      change(open, set);
+      for (int r = 0; r < 6; ++r) EXPECT_FALSE(step()) << where();
+      stage = close;
+      each(clear);
+      EXPECT_FALSE(step()) << where() << ": closing left the certificate";
+    };
+    const auto pick = [&] {
+      const auto owners = active.network().live_owners();
+      return owners[rng.below(owners.size())];
+    };
+
+    const RingPos joiner = rng.next();
+    const std::uint32_t contact = pick();
+    change("join_peer", [&](Engine& e) { e.join_peer(joiner, contact); });
+    const std::uint32_t leaver = pick();
+    change("leave_peer", [&](Engine& e) { e.leave_peer(leaver); });
+    const std::uint32_t victim = pick();
+    const PeerSnapshot snap = capture_peer(active.network(), victim);
+    change("crash_peer", [&](Engine& e) { e.crash_peer(victim); });
+    change("restart_peer", [&](Engine& e) { e.restart_peer(snap); });
+    Slot from = kInvalidSlot, to = kInvalidSlot;
+    while (from == kInvalidSlot) {
+      const Slot a = slot_of(pick(), 0), b = slot_of(pick(), 0);
+      if (a != b && !active.network().has_edge(a, EdgeKind::kUnmarked, b)) {
+        from = a;
+        to = b;
+      }
+    }
+    change("network().add_edge", [&](Engine& e) {
+      e.network().add_edge(from, EdgeKind::kUnmarked, to);
+    });
+    window(
+        "loss window", "loss window closed",
+        [](Engine& e) { e.set_message_loss(0.1); },
+        [](Engine& e) { e.set_message_loss(0.0); });
+    window(
+        "sleep window", "sleep window closed",
+        [](Engine& e) { e.set_sleep_probability(0.3); },
+        [](Engine& e) { e.set_sleep_probability(0.0); });
+    std::vector<std::uint8_t> sides(active.network().owner_count());
+    for (std::uint32_t o = 0; o < sides.size(); ++o) sides[o] = o % 2;
+    window(
+        "set_partition", "clear_partition (grace round)",
+        [&](Engine& e) { e.set_partition(sides); },
+        [](Engine& e) { e.clear_partition(); });
+    window(
+        "nontrivial latency model", "trivial latency model",
+        [](Engine& e) { install_mixed_latency(e, 77); },
+        [](Engine& e) { e.set_latency_model(LatencyModel{}); });
+    std::vector<std::uint8_t> dcs(active.network().owner_count());
+    for (std::uint32_t o = 0; o < dcs.size(); ++o) dcs[o] = o % 3;
+    change("assign_datacenters",
+           [&](Engine& e) { e.assign_datacenters(dcs); });
+    change("reset_change_tracking",
+           [](Engine& e) { e.reset_change_tracking(); });
+    stage = "end";
+    settle();
+    EXPECT_EQ(full.certified_rounds(), 0U);
+    EXPECT_EQ(paranoid.certified_rounds(), 0U);
+    EXPECT_GT(active.certified_rounds(), 0U);
+    EXPECT_EQ(req_active.fingerprint(), req_full.fingerprint());
+    if (HasFailure()) return;
+  }
 }
 
 // Perturbation locality: after a single join into a stabilized network, the
