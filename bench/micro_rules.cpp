@@ -1,10 +1,13 @@
-// google-benchmark microbenchmarks of the simulation kernels: per-round rule
-// application cost (early chaos vs. quiescent fixpoint), state
+// google-benchmark microbenchmarks of the simulation kernels: per-round
+// cost from early chaos, at a fixpoint on the active set (a certified O(1)
+// round) and on the full scan (every peer runs rules 1..6 and the commit
+// re-delivers every forwarded edge: the all-live kernel), state
 // serialization/fingerprinting, spec computation and checking, and the
 // serial-vs-parallel round engine.
 
 #include <benchmark/benchmark.h>
 
+#include "common.hpp"
 #include "core/convergence.hpp"
 #include "core/engine.hpp"
 #include "core/spec.hpp"
@@ -45,6 +48,20 @@ void BM_RoundAtFixpoint(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(engine.step());
 }
 BENCHMARK(BM_RoundAtFixpoint)->Arg(16)->Arg(64)->Arg(256);
+
+// One full-scan round on the materialized fixpoint: all peers live, each
+// forwarding every held connection edge (rule 6) and re-linearizing (rule
+// 4), then the commit. The state is a fixpoint, so every iteration repeats
+// the same round.
+void BM_FullScanRoundAtFixpoint(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  core::Engine engine(bench::stable_network(n, 42), {.full_scan = true});
+  for (auto _ : state) benchmark::DoNotOptimize(engine.step());
+}
+BENCHMARK(BM_FullScanRoundAtFixpoint)
+    ->Arg(256)
+    ->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FullConvergence(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,7 +1,9 @@
 // The engine's own cost on one fixed grid: no flags, seed 1, engines on 2
 // threads unless a cell says otherwise. Sections, in output order:
-//   steady      the materialized fixpoint at n in {1k, 10k}: 30 active-set
-//               rounds against 3 full-scan rounds, each after a warm-up
+//   steady      the materialized fixpoint at n in {1k, 10k}: 30 certified
+//               active-set rounds, then 30 uncertified all-skipped rounds
+//               (the certificate voided before each), against 3 full-scan
+//               rounds, each engine after a warm-up
 //   crash       n=10k, k in {1, 10, 100} crashed peers, then 12 recovery
 //               rounds on the active set
 //   tail        a random connected start at n=1000 run to the exact fixpoint
@@ -18,7 +20,8 @@
 // value (ns/round, speedup, req/s, ms); it is reported, never diffed.
 // Exits 1 if a gate trips:
 //   - a materialized fixpoint changes, or the full scan is less than 3x
-//     slower per round than the active set at some n;
+//     slower per round than the certified or the uncertified active-set
+//     round at some n;
 //   - the tail misses the exact fixpoint within 20n+1000 rounds;
 //   - a throughput window is unsteady (completions below 95% of arrivals),
 //     its p99 rounds in flight exceeds 48, or 1 and 2 threads disagree;
@@ -99,11 +102,16 @@ struct Timed {
   bool fixed = true;  // no round changed the state
 };
 
-Timed run_rounds(core::Engine& engine, std::size_t rounds) {
+/// With `void_certificate`, each round is preceded by set_message_loss(0.0):
+/// it bumps the input epoch and changes nothing else, so a quiescent round
+/// takes the uncertified all-skipped path instead of the certificate.
+Timed run_rounds(core::Engine& engine, std::size_t rounds,
+                 bool void_certificate = false) {
   Timed t;
   const std::uint64_t certified0 = engine.certified_rounds();
   bench::WallTimer timer;
   for (std::size_t r = 0; r < rounds; ++r) {
+    if (void_certificate) engine.set_message_loss(0.0);
     const auto mt = engine.step();
     t.fixed &= !mt.changed;
     t.work.add(mt);
@@ -127,25 +135,36 @@ double run_steady(const core::Network& base, std::size_t n) {
   const Timed ta = run_rounds(active, 30);
   exact.record("steady", p, "edge_set_bytes",
                std::uint64_t{active.network().edge_set_bytes()});
+  const Timed tu = run_rounds(active, 30, /*void_certificate=*/true);
   core::Engine full(base, {.threads = kThreads, .full_scan = true});
   fixed &= warm_up(full);
   const Timed tf = run_rounds(full, 3);
-  fixed &= ta.fixed && tf.fixed;
+  fixed &= ta.fixed && tu.fixed && tf.fixed;
   exact.record("steady", p, "fixpoint_held", std::uint64_t{fixed});
   const Params pa{{"n", num(n)}, {"engine", bench::jstr("active")}};
   const Params pf{{"n", num(n)}, {"engine", bench::jstr("full")}};
+  const Params pu{{"n", num(n)}, {"engine", bench::jstr("uncertified")}};
   ta.work.record("steady", pa);
   exact.record("steady", pa, "certified_rounds", ta.certified);
   tf.work.record("steady", pf);
   exact.record("steady", pf, "certified_rounds", tf.certified);
+  tu.work.record("steady", pu);
+  exact.record("steady", pu, "certified_rounds", tu.certified);
   const double speedup = tf.ns_per_round / ta.ns_per_round;
+  const double speedup_uncertified = tf.ns_per_round / tu.ns_per_round;
   wall.record("steady", p, "active_ns_per_round", ta.ns_per_round);
   wall.record("steady", p, "full_ns_per_round", tf.ns_per_round);
   wall.record("steady", p, "speedup", speedup);
+  wall.record("steady", p, "uncertified_ns_per_round", tu.ns_per_round);
+  wall.record("steady", p, "speedup_uncertified", speedup_uncertified);
   if (!fixed) fail("steady n=" + num(n) + " left the fixpoint");
   if (speedup < kMinSpeedup)
     fail("steady n=" + num(n) + " full/active speedup " +
          bench::jnum(speedup) + " < " + bench::jnum(kMinSpeedup));
+  if (speedup_uncertified < kMinSpeedup)
+    fail("steady n=" + num(n) + " full/uncertified speedup " +
+         bench::jnum(speedup_uncertified) + " < " +
+         bench::jnum(kMinSpeedup));
   return tf.ns_per_round;
 }
 

@@ -819,22 +819,20 @@ RoundMetrics Engine::step() {
   // Observability is bit-identical-off: every span below only reads clocks
   // into profiler buffers, and every trace event derives from deterministic
   // round state (see DESIGN.md §11).
-  util::ScopedPhase step_span(util::Phase::kStepTotal);
   if (cert_valid_ && cert_version_ == net_.topology_version() &&
       cert_epoch_ == inputs_epoch_) {
     // Certified quiescent round (DESIGN.md §6.7): the previous round skipped
     // every live peer, emitted nothing and changed nothing, and no input has
-    // moved since, so this round is that round again.
-    RoundMetrics mt;
-    {
-      util::ScopedPhase fixpoint_span(util::Phase::kFixpoint);
-      ++round_;
-      ++certified_rounds_;
-      mt = cert_metrics_;
-      mt.round = round_;
-    }
+    // moved since, so this round is that round again. The whole round is
+    // its kFixpoint phase, timed by the same clock pair as kStepTotal.
+    util::ScopedPhase span(util::Phase::kStepTotal, util::Phase::kFixpoint);
+    ++round_;
+    ++certified_rounds_;
+    RoundMetrics mt = cert_metrics_;
+    mt.round = round_;
     return publish_round(mt);
   }
+  util::ScopedPhase step_span(util::Phase::kStepTotal);
   const bool active = active_mode();
   // Routing only matters while a message CAN be delayed or one still is; a
   // flattened (trivial) model with a drained queue reverts to the plain
@@ -970,7 +968,19 @@ RoundMetrics Engine::step() {
     net_.add_edge(target, op.kind, payload);
   };
   if (opt_.message_loss <= 0.0) {
-    for (const DelayedOp& op : ops_) {
+    // Look-ahead: at scale every delivery misses twice, on the target's
+    // set header and then on its elements. Fetch the header kHeaderAhead
+    // ops early and the elements kDataAhead ops early, once the header is
+    // in cache. A prefetch is only a hint: the state is unaffected.
+    constexpr std::size_t kHeaderAhead = 16, kDataAhead = 8;
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      if (i + kHeaderAhead < ops_.size())
+        net_.prefetch_set_header(ops_[i + kHeaderAhead].target,
+                                 ops_[i + kHeaderAhead].kind);
+      if (i + kDataAhead < ops_.size())
+        net_.prefetch_set_data(ops_[i + kDataAhead].target,
+                               ops_[i + kDataAhead].kind);
+      const DelayedOp& op = ops_[i];
       if (partition_active_ && partition_cut(op.target, op.payload)) {
         ++partition_dropped_;
         continue;

@@ -96,14 +96,19 @@ bool Network::add_edge(Slot s, EdgeKind k, Slot target) {
   if (s == target) return false;
   auto& set = sets_[static_cast<std::size_t>(k)][s];
   const auto key = order_key(target);
-  const auto it = std::lower_bound(
-      set.begin(), set.end(), key,
-      [this](Slot a, OrderKey kk) { return order_key(a) < kk; });
-  // Duplicate: return BEFORE mark_dirty -- a re-delivered edge must leave
-  // digests, dirty marks and hence wakes untouched (the header documents
-  // this as the contract the translation closure's emit-only injections
-  // depend on).
-  if (it != set.end() && *it == target) return false;
+  // In-order append (materialization inserts every set ascending): one
+  // comparison against the back instead of a binary search.
+  auto it = set.end();
+  if (!set.empty() && !(order_key(set.back()) < key)) {
+    it = std::lower_bound(
+        set.begin(), set.end(), key,
+        [this](Slot a, OrderKey kk) { return order_key(a) < kk; });
+    // Duplicate: return BEFORE mark_dirty -- a re-delivered edge must leave
+    // digests, dirty marks and hence wakes untouched (the header documents
+    // this as the contract the translation closure's emit-only injections
+    // depend on).
+    if (it != set.end() && *it == target) return false;
+  }
   set.insert(it, target);
   if (alive_[s]) edge_live_[static_cast<std::size_t>(k)].add(1);
   // `target` may belong to another peer whose worker thread is concurrently
@@ -174,6 +179,29 @@ bool Network::remove_edge(Slot s, EdgeKind k, Slot target) {
   if (alive_[s]) edge_live_[static_cast<std::size_t>(k)].add(-1);
   mark_dirty(s);
   return true;
+}
+
+std::size_t Network::remove_edges_bulk(Slot s, EdgeKind k,
+                                       std::span<const Slot> targets) {
+  if (targets.empty()) return 0;
+  auto& set = sets_[static_cast<std::size_t>(k)][s];
+  // One compaction pass: `targets` is a subsequence of `set`, so the next
+  // target is either the current element or still ahead.
+  std::size_t out = 0, j = 0;
+  for (const Slot t : set) {
+    if (j < targets.size() && t == targets[j])
+      ++j;
+    else
+      set[out++] = t;
+  }
+  assert(j == targets.size());
+  const std::size_t removed = set.size() - out;
+  set.resize(out);
+  if (alive_[s])
+    edge_live_[static_cast<std::size_t>(k)].add(
+        -static_cast<std::int64_t>(removed));
+  mark_dirty(s);
+  return removed;
 }
 
 bool Network::has_edge(Slot s, EdgeKind k, Slot target) const noexcept {

@@ -150,7 +150,23 @@ class Network {
   std::size_t add_edges_bulk(Slot s, EdgeKind k, std::span<const Slot> targets);
   /// Removes (s -> target); returns false if absent.
   bool remove_edge(Slot s, EdgeKind k, Slot target);
+  /// Removes (s -> t) for every t in `targets` in one compaction pass;
+  /// `targets` must be a subsequence of edges(s, k): same order, every
+  /// element present. Equivalent to calling remove_edge per target, except
+  /// that the slot is marked dirty once; returns targets.size().
+  std::size_t remove_edges_bulk(Slot s, EdgeKind k,
+                                std::span<const Slot> targets);
   [[nodiscard]] bool has_edge(Slot s, EdgeKind k, Slot target) const noexcept;
+  /// Cache hints for a commit loop that looks ahead over its ops: fetch the
+  /// vector header of edges(s, k), and (once that header is cached) the
+  /// first line of the set's elements. No effect on the state; prefetching
+  /// an empty set's null data() is harmless.
+  void prefetch_set_header(Slot s, EdgeKind k) const noexcept {
+    __builtin_prefetch(&sets_[static_cast<std::size_t>(k)][s]);
+  }
+  void prefetch_set_data(Slot s, EdgeKind k) const noexcept {
+    __builtin_prefetch(sets_[static_cast<std::size_t>(k)][s].data());
+  }
   /// Clears all three sets of `s`; returns false when they were empty.
   bool clear_edges(Slot s);
 

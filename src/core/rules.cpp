@@ -245,32 +245,37 @@ void Rules::rule3_real_neighbors(RuleCtx& ctx) {
 
 void Rules::rule4_linearize(RuleCtx& ctx) {
   Network& net = ctx.net;
+  std::vector<Slot>& drop = ctx.arena.drop;
   for (Slot ui : ctx.siblings) {
     const std::uint32_t idx = index_of(ui);
     const Key ui_key = net.order_key(ui);
-    ctx.scratch = net.edges(ui, EdgeKind::kUnmarked);  // sorted snapshot
-    const auto& nu = ctx.scratch;
+    // Read in place: every removal is deferred to the one bulk call below.
+    const auto& nu = net.edges(ui, EdgeKind::kUnmarked);
     // Split: nu is sorted by order, so lefts form a prefix.
     const auto split = std::lower_bound(
         nu.begin(), nu.end(), ui_key,
         [&net](Slot a, Key kk) { return net.order_key(a) < kk; });
     // lin-left: lefts ascending l0 < l1 < ... < lk; keep lk, forward each
     // other one to the neighbor just above it: edge (l_{j+1} -> l_j).
+    // lin-right: rights ascending r0 < r1 < ...; keep r0, edge
+    // (r_j -> r_{j+1}). Both drop lists ascend and lefts precede rights, so
+    // `drop` is a subsequence of nu.
+    drop.clear();
     if (std::distance(nu.begin(), split) >= 2) {
       for (auto it = nu.begin(); std::next(it) != split; ++it) {
         ctx.ops.push_back({*std::next(it), EdgeKind::kUnmarked, *it});
-        ctx.remove_edge(ui, EdgeKind::kUnmarked, *it);
+        drop.push_back(*it);
         ++ctx.activity.lin_forwards;
       }
     }
-    // lin-right: rights ascending r0 < r1 < ...; keep r0, edge (r_j -> r_{j+1}).
     if (std::distance(split, nu.end()) >= 2) {
       for (auto it = split; std::next(it) != nu.end(); ++it) {
         ctx.ops.push_back({*it, EdgeKind::kUnmarked, *std::next(it)});
-        ctx.remove_edge(ui, EdgeKind::kUnmarked, *std::next(it));
+        drop.push_back(*std::next(it));
         ++ctx.activity.lin_forwards;
       }
     }
+    ctx.remove_edges(ui, EdgeKind::kUnmarked, drop);
     // mirroring: backward edges from the (now at most two) closest
     // neighbors, then re-establish the closest-real edges.
     for (Slot v : net.edges(ui, EdgeKind::kUnmarked)) {
@@ -403,7 +408,8 @@ void Rules::rule6_connection(RuleCtx& ctx) {
     ctx.activity.cedge_creates += ctx.add_edge(
         ctx.siblings[i], EdgeKind::kConnection, ctx.siblings[i + 1]);
 
-  // forward-cedges.
+  // forward-cedges. Both branches remove the held edge, so ui's connection
+  // set ends empty: the removals are one bulk call over the snapshot.
   for (Slot ui : ctx.siblings) {
     std::vector<Slot>& held = ctx.arena.held;
     held = net.edges(ui, EdgeKind::kConnection);
@@ -413,23 +419,26 @@ void Rules::rule6_connection(RuleCtx& ctx) {
     // build the set once per ui -- a linear merge of two sorted inputs.
     std::vector<Slot>& cand = ctx.arena.cand;
     merge_sorted(net, cand, net.edges(ui, EdgeKind::kUnmarked), ctx.siblings);
+    // w = max{x ∈ cand : x < v} never decreases as v ascends through held,
+    // so one merge walk finds every w: cand[0, below) are the keys < v.
+    std::size_t below = 0;
     for (Slot v : held) {
       const Key v_key = net.order_key(v);
-      // w = max{x ∈ Nu(ui) ∪ S(ui) : x < v}
-      const Slot w = max_below(net, cand, v_key);
+      while (below < cand.size() && net.order_key(cand[below]) < v_key)
+        ++below;
+      const Slot w = below == 0 ? kInvalidSlot : cand[below - 1];
       if (w == kInvalidSlot || w == ui) {
         // forward-cedges-2 (and our stuck-edge extension when no candidate
         // below v exists at all): resolve into the unmarked backward edge.
         ctx.ops.push_back({v, EdgeKind::kUnmarked, ui});
-        ctx.remove_edge(ui, EdgeKind::kConnection, v);
         ++ctx.activity.cedge_resolves;
       } else {
         // forward-cedges-1: move the connection edge one hop toward v.
         ctx.ops.push_back({w, EdgeKind::kConnection, v});
-        ctx.remove_edge(ui, EdgeKind::kConnection, v);
         ++ctx.activity.cedge_forwards;
       }
     }
+    ctx.remove_edges(ui, EdgeKind::kConnection, held);
   }
 }
 

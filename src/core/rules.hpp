@@ -41,6 +41,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/network.hpp"
@@ -85,6 +86,7 @@ struct RuleArena {
   std::vector<Slot> scratch;
   std::vector<Slot> cand;  // rule 5/6 candidate sets
   std::vector<Slot> held;  // rule 5/6 held-edge snapshots
+  std::vector<Slot> drop;  // rule 4 edges to remove, sorted
 };
 
 /// Per-peer scratch state threaded through the rules of one round.
@@ -125,6 +127,18 @@ struct RuleCtx {
     if (did && record)
       record->push_back({s, target, LocalEdit::Op::kRemoveEdge, k});
     return did;
+  }
+  /// Removes (s -> t) for every t in `targets` in one pass
+  /// (Network::remove_edges_bulk). `targets` must be a subsequence of
+  /// edges(s, k): same order, every element present. Records one kRemoveEdge
+  /// per target in `targets` order: the record a remove_edge loop over
+  /// `targets` leaves, so cached deltas, replays and the paranoid
+  /// comparison cannot tell the two apart.
+  void remove_edges(Slot s, EdgeKind k, std::span<const Slot> targets) {
+    net.remove_edges_bulk(s, k, targets);  // asserts all were removed
+    if (record)
+      for (Slot t : targets)
+        record->push_back({s, t, LocalEdit::Op::kRemoveEdge, k});
   }
   void clear_edges(Slot s) {
     if (net.clear_edges(s) && record)
@@ -189,6 +203,7 @@ struct RuleCtx {
     scratch.clear();
     arena.cand.clear();
     arena.held.clear();
+    arena.drop.clear();
   }
 };
 

@@ -101,25 +101,31 @@ class Profiler {
 };
 
 /// RAII span: times from construction to destruction when the profiler is
-/// enabled at construction time; a no-op otherwise.
+/// enabled at construction time; a no-op otherwise. The two-phase form
+/// records one clock pair under both phases: a span that is all of its
+/// parent (a certified round is all fixpoint) costs one pair, not a nested
+/// span whose own overhead the parent would leave unattributed.
 class ScopedPhase {
  public:
-  explicit ScopedPhase(Phase p) noexcept
-      : phase_(p), live_(Profiler::instance().enabled()) {
+  explicit ScopedPhase(Phase p, Phase twin = Phase::kCount) noexcept
+      : phase_(p), twin_(twin), live_(Profiler::instance().enabled()) {
     if (live_) start_ = std::chrono::steady_clock::now();
   }
   ~ScopedPhase() {
     if (!live_) return;
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    Profiler::instance().record(phase_, static_cast<std::uint64_t>(ns));
+    const auto ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count());
+    Profiler::instance().record(phase_, ns);
+    if (twin_ != Phase::kCount) Profiler::instance().record(twin_, ns);
   }
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
  private:
   Phase phase_;
+  Phase twin_;
   bool live_;
   std::chrono::steady_clock::time_point start_;
 };

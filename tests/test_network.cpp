@@ -7,6 +7,7 @@
 #include "core/churn.hpp"
 #include "core/engine.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
 
 namespace rechord::core {
 namespace {
@@ -118,6 +119,64 @@ TEST(TopologyVersion, EveryMutatorBumpsDuplicatesDoNot) {
   EXPECT_TRUE(bumps([&] { net.set_alive(v, false); }));
   EXPECT_TRUE(bumps([&] { net.normalize(); }));
   EXPECT_FALSE(bumps([&] { net.normalize(); }));  // nothing left to rewrite
+}
+
+// remove_edges_bulk is the one-pass form of a remove_edge loop: same sets,
+// same per-kind edge counts, the same slot and owner dirty marks, and a
+// topology_version() that rises iff something was removed.
+TEST(Network, RemoveEdgesBulkMatchesPerEdge) {
+  util::Rng rng(7);
+  std::vector<RingPos> ids;
+  for (int i = 0; i < 24; ++i) ids.push_back(rng.next());
+  Network base{std::span<const RingPos>(ids)};
+  for (std::uint32_t o = 0; o < 24; ++o)
+    for (std::uint32_t i = 1; i < 4; ++i) base.set_alive(slot_of(o, i), true);
+  const Slot dead_src = slot_of(5, 9);  // edges held by a dead slot too
+  std::vector<Slot> sources = base.live_slots();
+  sources.push_back(dead_src);
+  for (const Slot s : sources)
+    for (int k = 0; k < kEdgeKinds; ++k)
+      for (int e = 0; e < 12; ++e)
+        base.add_edge(s, static_cast<EdgeKind>(k),
+                      slot_of(static_cast<std::uint32_t>(rng.below(24)),
+                              static_cast<std::uint32_t>(rng.below(4))));
+  for (int trial = 0; trial < 400; ++trial) {
+    const Slot s = sources[rng.below(sources.size())];
+    const auto k = static_cast<EdgeKind>(rng.below(kEdgeKinds));
+    // A random subsequence of the set, every fifth trial all of it.
+    std::vector<Slot> targets;
+    const bool all = trial % 5 == 0;
+    for (const Slot t : base.edges(s, k))
+      if (all || rng.below(2) == 0) targets.push_back(t);
+    Network bulk = base, per_edge = base;
+    bulk.rebuild_change_baseline();
+    per_edge.rebuild_change_baseline();
+    const std::uint64_t v0 = bulk.topology_version();
+    const std::size_t removed = bulk.remove_edges_bulk(s, k, targets);
+    std::size_t expect = 0;
+    for (const Slot t : targets) expect += per_edge.remove_edge(s, k, t);
+    ASSERT_EQ(removed, targets.size()) << "trial " << trial;
+    ASSERT_EQ(removed, expect);
+    ASSERT_EQ(bulk.serialize_state(), per_edge.serialize_state());
+    for (int kk = 0; kk < kEdgeKinds; ++kk)
+      ASSERT_EQ(bulk.edge_count(static_cast<EdgeKind>(kk)),
+                per_edge.edge_count(static_cast<EdgeKind>(kk)));
+    ASSERT_EQ(bulk.topology_version() > v0, removed > 0);
+    for (Slot x = 0; x < bulk.slot_count(); ++x)
+      ASSERT_EQ(bulk.slot_dirty(x), per_edge.slot_dirty(x)) << x;
+    for (std::uint32_t o = 0; o < bulk.owner_count(); ++o)
+      ASSERT_EQ(bulk.owner_dirty(o), per_edge.owner_dirty(o)) << o;
+  }
+  // An empty list is a no-op: no removal, no mark, no version bump.
+  base.rebuild_change_baseline();
+  const std::uint64_t v0 = base.topology_version();
+  const Slot s = sources.front();
+  const std::vector<Slot> before = base.edges(s, EdgeKind::kUnmarked);
+  EXPECT_EQ(base.remove_edges_bulk(s, EdgeKind::kUnmarked, {}), 0U);
+  EXPECT_EQ(base.edges(s, EdgeKind::kUnmarked), before);
+  EXPECT_EQ(base.topology_version(), v0);
+  EXPECT_FALSE(base.slot_dirty(s));
+  EXPECT_FALSE(base.owner_dirty(owner_of(s)));
 }
 
 TEST(TopologyVersion, EngineMembershipHooksBump) {

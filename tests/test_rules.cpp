@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "../bench/common.hpp"
+#include "core/engine.hpp"
+#include "gen/topologies.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
 
 namespace rechord::core {
 namespace {
@@ -432,6 +437,149 @@ TEST(Rule6, StuckGarbageEdgeResolvesBackward) {
   Rules::rule6_connection(f.ctx);
   EXPECT_TRUE(f.net.edges(slot_of(0, 0), EdgeKind::kConnection).empty());
   EXPECT_TRUE(has_op(f.ops, slot_of(1, 0), EdgeKind::kUnmarked, slot_of(0, 0)));
+}
+
+// ------------------------------------------- bulk kernel vs per-edge rules
+
+// The per-edge rules 4 and 6 that the one-pass forms replaced: a
+// remove_edge per dropped edge and a binary search per held connection
+// edge. They are the reference the production rules must match op for op,
+// edit for edit.
+Slot ref_max_below(const Network& net, const std::vector<Slot>& vec,
+                   OrderKey k) {
+  const auto it = std::lower_bound(
+      vec.begin(), vec.end(), k,
+      [&net](Slot a, OrderKey kk) { return net.order_key(a) < kk; });
+  return it == vec.begin() ? kInvalidSlot : *std::prev(it);
+}
+
+void ref_rule4(RuleCtx& ctx) {
+  Network& net = ctx.net;
+  for (Slot ui : ctx.siblings) {
+    const std::uint32_t idx = index_of(ui);
+    const OrderKey ui_key = net.order_key(ui);
+    const std::vector<Slot> nu = net.edges(ui, EdgeKind::kUnmarked);
+    const auto split = std::lower_bound(
+        nu.begin(), nu.end(), ui_key,
+        [&net](Slot a, OrderKey kk) { return net.order_key(a) < kk; });
+    if (std::distance(nu.begin(), split) >= 2) {
+      for (auto it = nu.begin(); std::next(it) != split; ++it) {
+        ctx.ops.push_back({*std::next(it), EdgeKind::kUnmarked, *it});
+        ctx.remove_edge(ui, EdgeKind::kUnmarked, *it);
+        ++ctx.activity.lin_forwards;
+      }
+    }
+    if (std::distance(split, nu.end()) >= 2) {
+      for (auto it = split; std::next(it) != nu.end(); ++it) {
+        ctx.ops.push_back({*it, EdgeKind::kUnmarked, *std::next(it)});
+        ctx.remove_edge(ui, EdgeKind::kUnmarked, *std::next(it));
+        ++ctx.activity.lin_forwards;
+      }
+    }
+    for (Slot v : net.edges(ui, EdgeKind::kUnmarked)) {
+      ctx.ops.push_back({v, EdgeKind::kUnmarked, ui});
+      ++ctx.activity.mirror_backedges;
+    }
+    if (ctx.rl_cur[idx] != kInvalidSlot)
+      ctx.add_edge(ui, EdgeKind::kUnmarked, ctx.rl_cur[idx]);
+    if (ctx.rr_cur[idx] != kInvalidSlot)
+      ctx.add_edge(ui, EdgeKind::kUnmarked, ctx.rr_cur[idx]);
+  }
+}
+
+void ref_rule6(RuleCtx& ctx) {
+  Network& net = ctx.net;
+  for (std::size_t i = 0; i + 1 < ctx.siblings.size(); ++i)
+    ctx.activity.cedge_creates += ctx.add_edge(
+        ctx.siblings[i], EdgeKind::kConnection, ctx.siblings[i + 1]);
+  for (Slot ui : ctx.siblings) {
+    const std::vector<Slot> held = net.edges(ui, EdgeKind::kConnection);
+    std::vector<Slot> cand = net.edges(ui, EdgeKind::kUnmarked);
+    cand.insert(cand.end(), ctx.siblings.begin(), ctx.siblings.end());
+    std::sort(cand.begin(), cand.end(),
+              [&net](Slot a, Slot b) { return net.before(a, b); });
+    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+    for (Slot v : held) {
+      const Slot w = ref_max_below(net, cand, net.order_key(v));
+      if (w == kInvalidSlot || w == ui) {
+        ctx.ops.push_back({v, EdgeKind::kUnmarked, ui});
+        ctx.remove_edge(ui, EdgeKind::kConnection, v);
+        ++ctx.activity.cedge_resolves;
+      } else {
+        ctx.ops.push_back({w, EdgeKind::kConnection, v});
+        ctx.remove_edge(ui, EdgeKind::kConnection, v);
+        ++ctx.activity.cedge_forwards;
+      }
+    }
+  }
+}
+
+// Rules::run_all with the reference rules 4 and 6 in place.
+void ref_run_all(RuleCtx& ctx) {
+  Rules::refresh_siblings(ctx);
+  Rules::rule1_virtual_nodes(ctx);
+  Rules::rule2_overlap(ctx);
+  Rules::refresh_known(ctx);
+  Rules::rule3_real_neighbors(ctx);
+  ref_rule4(ctx);
+  ctx.known_stale = true;
+  Rules::rule5_ring(ctx);
+  ref_rule6(ctx);
+}
+
+// Every live peer runs its phase on two copies of each state along a
+// 20-round trajectory: Rules::run_all on one, the reference on the other.
+// Each peer's ops, recorded edits, activity and rl/rr must agree, and so
+// must both networks after the pass.
+TEST(Rules, BulkRules4And6MatchPerEdgeReference) {
+  enum class Start { kRandomConnected, kScrambled, kFixpoint };
+  for (const Start start :
+       {Start::kRandomConnected, Start::kScrambled, Start::kFixpoint})
+    for (const std::size_t n : {16, 64, 300})
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        util::Rng rng(seed);
+        Network net = start == Start::kFixpoint
+                          ? bench::stable_network(n, seed)
+                          : gen::make_network(gen::Topology::kRandomConnected,
+                                              n, rng);
+        if (start == Start::kScrambled) gen::scramble_state(net, rng);
+        Engine engine(std::move(net), {.threads = 1});
+        for (int round = 0; round < 20; ++round) {
+          Network bulk = engine.network(), ref = engine.network();
+          std::vector<DelayedOp> ops_bulk, ops_ref;
+          std::vector<LocalEdit> rec_bulk, rec_ref;
+          RuleArena arena_bulk, arena_ref;
+          const auto where = [&](std::uint32_t o) {
+            return "start " + std::to_string(static_cast<int>(start)) +
+                   " n " + std::to_string(n) + " seed " +
+                   std::to_string(seed) + " round " + std::to_string(round) +
+                   " owner " + std::to_string(o);
+          };
+          for (const std::uint32_t o : engine.network().live_owners()) {
+            ops_bulk.clear();
+            ops_ref.clear();
+            rec_bulk.clear();
+            rec_ref.clear();
+            RuleCtx cb(bulk, o, ops_bulk, arena_bulk);
+            RuleCtx cr(ref, o, ops_ref, arena_ref);
+            cb.record = &rec_bulk;
+            cr.record = &rec_ref;
+            Rules::run_all(cb);
+            ref_run_all(cr);
+            ASSERT_TRUE(ops_bulk == ops_ref) << where(o);
+            ASSERT_TRUE(rec_bulk == rec_ref) << where(o);
+            ASSERT_TRUE(cb.activity == cr.activity) << where(o);
+            ASSERT_TRUE(cb.rl_cur == cr.rl_cur && cb.rr_cur == cr.rr_cur)
+                << where(o);
+          }
+          ASSERT_EQ(bulk.state_fingerprint(), ref.state_fingerprint())
+              << where(0);
+          for (int k = 0; k < kEdgeKinds; ++k)
+            ASSERT_EQ(bulk.edge_count(static_cast<EdgeKind>(k)),
+                      ref.edge_count(static_cast<EdgeKind>(k)));
+          engine.step();
+        }
+      }
 }
 
 }  // namespace
