@@ -228,6 +228,7 @@ struct LoadResult {
   std::uint64_t issued = 0, done = 0, inflight = 0;  // over the window
   std::uint64_t p50 = 0, p99 = 0, max = 0;  // window rounds in flight
   std::uint64_t certified = 0;  // window rounds answered by a certificate
+  std::uint64_t ledger = 0;  // mono_ledger_size() at the end of the window
   double window_ms = 0.0;
   bool drained = false;  // the queue emptied before the drain guard
   std::uint64_t fingerprint = 0;  // after the drain: the whole workload
@@ -286,6 +287,7 @@ LoadResult run_load(const core::Network& base, std::size_t n,
   drive(load.rounds, true);
   res.window_ms = timer.elapsed_ns() / 1e6;
   res.certified = engine.certified_rounds() - certified0;
+  res.ledger = req.mono_ledger_size();
   res.issued = req.totals().issued - issued0;
   res.done = req.totals().completed() - done0;
   res.inflight = req.inflight();
@@ -326,6 +328,7 @@ void run_throughput(const core::Network& base, std::size_t n) {
     exact.record("throughput", p, "max_rounds", r.max);
     exact.record("throughput", p, "fingerprint", hex(r.fingerprint));
     exact.record("throughput", p, "certified_rounds", r.certified);
+    exact.record("throughput", p, "mono_ledger_size", r.ledger);
     wall.record("throughput", p, "req_per_sec",
                 static_cast<double>(r.done) / (r.window_ms / 1e3));
     wall.record("throughput", p, "ms_per_round",

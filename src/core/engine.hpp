@@ -600,8 +600,10 @@ class Engine {
   void run_peers();
   void run_range(std::size_t begin, std::size_t end,
                  std::vector<DelayedOp>& out, unsigned shard);
+  /// `scratch` holds the targets of a bulk-removed run (the shard's arena).
   void replay_peer(std::uint32_t owner, const PeerCache& pc,
-                   std::vector<DelayedOp>& out, RuleActivity& act);
+                   std::vector<DelayedOp>& out, RuleActivity& act,
+                   std::vector<Slot>& scratch);
   void ensure_scheduler_arrays();
   void wake_out_of_band();
   void apply_wakes();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 #include "core/worker_pool.hpp"
 #include "dht/kv_store.hpp"
@@ -23,6 +24,8 @@ constexpr std::uint32_t kShards = 16;
 /// rows equal fresh scans, so outcomes never depend on the cap.
 constexpr std::size_t kRowCacheCap = 1 << 15;
 constexpr std::uint32_t kNoPayload = UINT32_MAX;
+/// uid of a free slot (uids count up from 0 and never reach it).
+constexpr std::uint64_t kNoUid = UINT64_MAX;
 constexpr std::uint64_t kSaltDelay = 0xDE1A11ULL;
 constexpr std::uint64_t kSaltLoss = 0x10551ULL;
 }  // namespace
@@ -63,7 +66,7 @@ std::uint64_t RequestEngine::hop_hash(std::uint64_t id, std::uint32_t attempt,
 // -- slot / payload pools ----------------------------------------------------
 
 void RequestEngine::SlotArrays::grow_one() {
-  uid.push_back(0);
+  uid.push_back(kNoUid);
   key.push_back(0);
   issue_round.push_back(0);
   origin.push_back(0);
@@ -90,7 +93,7 @@ std::uint32_t RequestEngine::alloc_slot() {
 }
 
 void RequestEngine::free_slot(std::uint32_t slot) {
-  slot_of_uid_.erase(slots_.uid[slot]);
+  slots_.uid[slot] = kNoUid;
   const std::uint32_t p = slots_.payload[slot];
   if (p != kNoPayload) {
     payloads_[p].key.clear();
@@ -135,7 +138,6 @@ std::uint64_t RequestEngine::submit(RequestKind kind, RingPos key,
     payloads_[p].value = std::move(kv_value);
     slots_.payload[slot] = p;
   }
-  slot_of_uid_.emplace(id, slot);
   ++outstanding_;
   ++totals_.issued;
   park(origin, slot);
@@ -170,9 +172,10 @@ std::uint64_t RequestEngine::submit_get(std::string key,
 
 std::optional<std::uint32_t> RequestEngine::custody_of(
     std::uint64_t id) const {
-  const auto it = slot_of_uid_.find(id);
-  if (it == slot_of_uid_.end()) return std::nullopt;
-  return slots_.custody[it->second];
+  if (id == kNoUid) return std::nullopt;
+  const auto it = std::find(slots_.uid.begin(), slots_.uid.end(), id);
+  if (it == slots_.uid.end()) return std::nullopt;
+  return slots_.custody[static_cast<std::size_t>(it - slots_.uid.begin())];
 }
 
 // -- routing rule ------------------------------------------------------------
@@ -559,15 +562,14 @@ void RequestEngine::merge_round() {
 // -- completion side effects (serial merge only) -----------------------------
 
 void RequestEngine::mono_resolved(RingPos key, std::uint32_t result) {
-  mono_[key] = {round_, result};
+  mono_.put(key, round_, result);
 }
 
 void RequestEngine::mono_unresolved(RingPos key, std::uint32_t origin) {
-  const auto it = mono_.find(key);
-  if (it == mono_.end()) return;
+  const std::optional<MonoEntry> e = mono_.find(key);
+  if (!e) return;
   // "Resolved at round r, unresolved at r' > r, both endpoints alive."
-  if (it->second.round < round_ &&
-      engine_.network().owner_alive(it->second.owner) &&
+  if (e->round < round_ && engine_.network().owner_alive(e->owner) &&
       engine_.network().owner_alive(origin))
     ++totals_.mono_violations;
 }
@@ -583,6 +585,68 @@ void RequestEngine::prune_mono_ledger() {
   prune_oldest(mono_, mono_.size() - target);
 }
 
+// -- monotonic-searchability ledger ----------------------------------------
+
+std::optional<MonoEntry> MonoLedger::find(RingPos key) const noexcept {
+  if (size_ == 0) return std::nullopt;
+  const std::size_t mask = cells_.size() - 1;
+  for (std::size_t i = home(key);; i = (i + 1) & mask) {
+    const Cell& c = cells_[i];
+    if (c.round == kEmpty) return std::nullopt;
+    if (c.key == key) return MonoEntry{c.round, c.owner};
+  }
+}
+
+void MonoLedger::put(RingPos key, std::uint64_t round, std::uint32_t owner) {
+  if (round > kMaxRound)
+    throw std::overflow_error("MonoLedger: round " + std::to_string(round) +
+                              " exceeds the 32-bit bound");
+  // Load limit 3/4: a 2^20-capped ledger plus one round of new keys fits in
+  // 2^21 cells (DESIGN.md §10.2).
+  if (4 * (size_ + 1) > 3 * cells_.size()) grow();
+  const std::size_t mask = cells_.size() - 1;
+  std::size_t i = home(key);
+  while (cells_[i].round != kEmpty && cells_[i].key != key) i = (i + 1) & mask;
+  if (cells_[i].round == kEmpty) ++size_;
+  cells_[i] = {key, static_cast<std::uint32_t>(round), owner};
+}
+
+void MonoLedger::clear() noexcept {
+  for (Cell& c : cells_) c.round = kEmpty;
+  size_ = 0;
+}
+
+void MonoLedger::grow() {
+  std::vector<Cell> old = std::move(cells_);
+  const std::size_t n = old.empty() ? 64 : 2 * old.size();
+  cells_.assign(n, Cell{0, kEmpty, 0});
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(n));
+  const std::size_t mask = n - 1;
+  for (const Cell& c : old) {
+    if (c.round == kEmpty) continue;
+    std::size_t i = home(c.key);
+    while (cells_[i].round != kEmpty) i = (i + 1) & mask;
+    cells_[i] = c;
+  }
+}
+
+void MonoLedger::erase_at(std::size_t i) noexcept {
+  const std::size_t mask = cells_.size() - 1;
+  // Back-shift deletion: pull each later entry of the run into the hole
+  // unless its home lies cyclically in (hole, entry] -- it would then sit
+  // before its home.
+  for (std::size_t j = (i + 1) & mask; cells_[j].round != kEmpty;
+       j = (j + 1) & mask) {
+    const std::size_t h = home(cells_[j].key);
+    if (((j - h) & mask) >= ((j - i) & mask)) {
+      cells_[i] = cells_[j];
+      i = j;
+    }
+  }
+  cells_[i].round = kEmpty;
+  --size_;
+}
+
 void prune_oldest(MonoLedger& ledger, std::size_t drop) {
   if (drop >= ledger.size()) {
     ledger.clear();
@@ -590,10 +654,10 @@ void prune_oldest(MonoLedger& ledger, std::size_t drop) {
   }
   if (drop == 0) return;
   std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
-  for (const auto& [key, e] : ledger) {
+  ledger.for_each([&](RingPos, const MonoEntry& e) {
     lo = std::min(lo, e.round);
     hi = std::max(hi, e.round);
-  }
+  });
   // Radix select of the drop-th smallest round, on round - lo, most
   // significant 16-bit digit first. `prefix` holds the digits fixed so far
   // and `need` the cut's rank among the entries that share them; after the
@@ -606,26 +670,39 @@ void prune_oldest(MonoLedger& ledger, std::size_t drop) {
   std::size_t need = drop;
   for (unsigned shift = top;; shift -= kDigit) {
     std::fill(hist.begin(), hist.end(), 0);
-    for (const auto& [key, e] : ledger) {
+    ledger.for_each([&](RingPos, const MonoEntry& e) {
       const std::uint64_t rel = e.round - lo;
-      if (shift != top && (rel >> (shift + kDigit)) != prefix) continue;
+      if (shift != top && (rel >> (shift + kDigit)) != prefix) return;
       ++hist[(rel >> shift) & (hist.size() - 1)];
-    }
+    });
     std::size_t d = 0;
     for (; hist[d] < need; ++d) need -= hist[d];
     prefix = (prefix << kDigit) | d;
     if (shift == 0) break;
   }
   const std::uint64_t cut = lo + prefix;
-  for (auto it = ledger.begin(); it != ledger.end();) {
-    const std::uint64_t r = it->second.round;
-    if (r < cut || (r == cut && need > 0)) {
-      if (r == cut) --need;
-      it = ledger.erase(it);
-    } else {
-      ++it;
-    }
+  // Keys are unique, so "the first `need` keys of the cut round" are the
+  // ones at or below its need-th smallest key.
+  RingPos cut_key = 0;
+  if (need > 0) {
+    std::vector<RingPos> keys;
+    ledger.for_each([&](RingPos key, const MonoEntry& e) {
+      if (e.round == cut) keys.push_back(key);
+    });
+    std::nth_element(keys.begin(), keys.begin() + (need - 1), keys.end());
+    cut_key = keys[need - 1];
   }
+  const auto goes = [&](const MonoLedger::Cell& c) {
+    return c.round < cut || (c.round == cut && need > 0 && c.key <= cut_key);
+  };
+  // A back-shift moves entries only backward within their run: into the
+  // cell under the sweep (re-checked), into cells ahead of it, or -- for a
+  // run wrapping past the last cell -- between cells the sweep has passed,
+  // which hold kept entries only. So one pass erases exactly the set.
+  auto& cells = ledger.cells_;
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    while (cells[i].round != MonoLedger::kEmpty && goes(cells[i]))
+      ledger.erase_at(i);
 }
 
 void RequestEngine::finish(std::uint32_t slot, RequestStatus status) {

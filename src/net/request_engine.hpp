@@ -46,7 +46,12 @@
 //     open-loop runs hold memory proportional to PEAK outstanding requests,
 //     not total issued; the public request id (returned by submit_*, stored
 //     in completion records, and keying every stateless coin) stays a
-//     monotone uid.
+//     monotone uid. No uid -> slot index is kept: a freed slot's uid column
+//     holds a sentinel, and the test-only custody_of() scans that column.
+//
+//   * The monotonic-searchability ledger every completing search updates is
+//     a flat 16-byte-cell hash table (MonoLedger), so the serial merge pays
+//     O(1) per completion instead of a tree walk over up to 2^20 keys.
 //
 // Hops are messages: each one pays the per-(source-dc, target-dc) delivery
 // delay class of the engine's latency model through its target shard's
@@ -87,7 +92,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -147,19 +151,71 @@ struct RequestOptions {
   std::size_t mono_ledger_cap = 0;
 };
 
-/// Monotonic-searchability ledger: key -> (last resolution round, owner).
+/// A key's last resolution round and the owner it resolved at.
 struct MonoEntry {
   std::uint64_t round = 0;
   std::uint32_t owner = 0;
 };
-using MonoLedger = std::map<RingPos, MonoEntry>;
+
+/// Monotonic-searchability ledger: key -> MonoEntry, as a flat open-
+/// addressing table with linear probing (DESIGN.md §10.2). A cell is 16
+/// bytes -- the key, the round in 32 bits and the owner -- and the table
+/// doubles before a put that could pass 3/4 load, starting at 64 cells; it
+/// never shrinks, so a 2^20-capped ledger settles at 2^21 cells (32 MiB).
+/// Lookups and updates are O(1) expected; iteration order is the cell
+/// order, which no caller may let into an outcome.
+class MonoLedger {
+ public:
+  /// Largest storable round. put() throws std::overflow_error past it
+  /// rather than truncate (UINT32_MAX itself marks an empty cell).
+  static constexpr std::uint64_t kMaxRound = UINT32_MAX - 1;
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Allocated cells (0 or a power of two >= 64).
+  [[nodiscard]] std::size_t cells() const noexcept { return cells_.size(); }
+  [[nodiscard]] std::optional<MonoEntry> find(RingPos key) const noexcept;
+  /// Inserts `key` or overwrites its entry.
+  void put(RingPos key, std::uint64_t round, std::uint32_t owner);
+  /// Empties every cell; the allocation stays.
+  void clear() noexcept;
+  /// Calls f(key, MonoEntry) for every entry, in cell order.
+  template <class F>
+  void for_each(F&& f) const {
+    for (const Cell& c : cells_)
+      if (c.round != kEmpty) f(c.key, MonoEntry{c.round, c.owner});
+  }
+
+ private:
+  friend void prune_oldest(MonoLedger& ledger, std::size_t drop);
+  struct Cell {
+    RingPos key;
+    std::uint32_t round;
+    std::uint32_t owner;
+  };
+  static_assert(sizeof(RingPos) == 8, "MonoLedger cells are 16 bytes");
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+
+  [[nodiscard]] std::size_t home(RingPos key) const noexcept {
+    // Fibonacci hashing: the top log2(cells) bits of key * 2^64/phi.
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  void grow();
+  /// Empties cell i and back-shifts the rest of its probe run, so every
+  /// remaining entry stays reachable from its home without tombstones.
+  void erase_at(std::size_t i) noexcept;
+
+  std::vector<Cell> cells_;
+  std::size_t size_ = 0;
+  unsigned shift_ = 64;  // 64 - log2(cells)
+};
 
 /// Erases the first `drop` entries of `ledger` in (round, key) order -- the
 /// RequestOptions::mono_ledger_cap eviction -- without materializing that
 /// order: a radix select over the resolution rounds (16 bits per pass, one
-/// pass while the rounds span fewer than 2^16) finds the cut round, then one
-/// pass in key order erases everything older plus the first keys of the cut
-/// round. Scratch is one 256 KiB histogram, not a 16-byte pair per entry.
+/// pass while the rounds span fewer than 2^16) finds the cut round, an
+/// nth_element over the cut round's keys finds the last key to go, and one
+/// pass over the cells erases everything older plus the cut round's keys up
+/// to it. Scratch is one 256 KiB histogram plus the cut round's keys.
 void prune_oldest(MonoLedger& ledger, std::size_t drop);
 
 /// Completion record of one request (success or failure).
@@ -335,7 +391,7 @@ class RequestEngine {
     return mono_.size();
   }
   /// Current custody owner of an outstanding request; nullopt once it
-  /// completed (test instrumentation).
+  /// completed. Test instrumentation: a scan over the slot column, O(slots).
   [[nodiscard]] std::optional<std::uint32_t> custody_of(
       std::uint64_t id) const;
 
@@ -422,7 +478,8 @@ class RequestEngine {
   /// shard's due queue -- so the parallel phase writes disjoint indices.
   /// The vectors are only resized at submit time (serial, between rounds).
   struct SlotArrays {
-    std::vector<std::uint64_t> uid;          // public request id (coin key)
+    /// Public request id (coin key); kNoUid while the slot is free.
+    std::vector<std::uint64_t> uid;
     std::vector<RingPos> key;                // target ring position
     std::vector<std::uint64_t> issue_round;
     std::vector<std::uint32_t> origin;
@@ -500,10 +557,6 @@ class RequestEngine {
   std::vector<std::uint32_t> slot_free_;
   std::uint64_t next_uid_ = 0;
   std::size_t outstanding_ = 0;
-  /// uid -> slot for OUTSTANDING requests only (custody_of instrumentation);
-  /// never iterated, so the unordered layout cannot leak into outcomes.
-  std::unordered_map<std::uint64_t, std::uint32_t> slot_of_uid_;
-
   std::vector<Shard> shards_;
 
   MonoLedger mono_;

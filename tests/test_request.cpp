@@ -13,7 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -569,12 +572,45 @@ TEST(RequestEngine, MonoLedgerCapBoundsMemory) {
   EXPECT_EQ(bounded.resolved, unbounded.resolved);
 }
 
+// The flat ledger's contents as an ordered map, the reference model of the
+// ledger tests below.
+using RefLedger = std::map<core::RingPos, MonoEntry>;
+
+RefLedger as_map(const MonoLedger& ledger) {
+  RefLedger out;
+  ledger.for_each([&](core::RingPos k, const MonoEntry& e) {
+    EXPECT_TRUE(out.emplace(k, e).second) << "key " << k << " stored twice";
+  });
+  return out;
+}
+
+// Same entries, and every entry reachable through find() -- a cell that a
+// back-shift stranded before its home shows up here, not in for_each.
+void expect_ledger_equals(const MonoLedger& ledger, const RefLedger& want,
+                          const std::string& where) {
+  ASSERT_EQ(ledger.size(), want.size()) << where;
+  const RefLedger got = as_map(ledger);
+  ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first == b.first &&
+                                  a.second.round == b.second.round &&
+                                  a.second.owner == b.second.owner;
+                         }))
+      << where;
+  for (const auto& [k, e] : want) {
+    const std::optional<MonoEntry> f = ledger.find(k);
+    ASSERT_TRUE(f.has_value()) << where << " key " << k;
+    ASSERT_EQ(f->round, e.round) << where << " key " << k;
+    ASSERT_EQ(f->owner, e.owner) << where << " key " << k;
+  }
+}
+
 // The ledger eviction against the algorithm it replaced, kept here as the
 // reference: materialize every (round, key) pair, select the `drop` smallest
-// and erase them. Rounds are drawn over spans that take one, two and four
-// radix passes, with heavy ties (the cut falls inside a round's keys) and
-// the edge drops 1, size - 1 and size.
-MonoLedger reference_prune(MonoLedger ledger, std::size_t drop) {
+// and erase them. Rounds are drawn over spans that take one and two radix
+// passes (the full 32-bit round range among them), with heavy ties (the cut
+// falls inside a round's keys) and the edge drops 1, size - 1 and size.
+RefLedger reference_prune(RefLedger ledger, std::size_t drop) {
   std::vector<std::pair<std::uint64_t, core::RingPos>> order;
   for (const auto& [k, e] : ledger) order.emplace_back(e.round, k);
   std::sort(order.begin(), order.end());
@@ -588,37 +624,235 @@ TEST(RequestEngine, MonoLedgerPruneMatchesTheSortReference) {
   std::size_t cases = 0;
   for (const std::uint64_t span :
        {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{3000},
-        std::uint64_t{1} << 20, ~std::uint64_t{0}}) {
+        std::uint64_t{1} << 20, MonoLedger::kMaxRound + 1}) {
     for (const std::size_t size : {1, 2, 50, 700}) {
+      RefLedger ref;
       MonoLedger ledger;
-      const std::uint64_t base = rng.next() >> 1;
-      while (ledger.size() < size) {
-        const std::uint64_t r = span == ~std::uint64_t{0}
-                                    ? rng.next()
-                                    : base + rng.below(span);
-        ledger[rng.next()] = {r, static_cast<std::uint32_t>(ledger.size())};
+      const std::uint64_t base =
+          span > MonoLedger::kMaxRound ? 0 : rng.below(std::uint64_t{1} << 31);
+      while (ref.size() < size) {
+        const core::RingPos key = rng.next();
+        const MonoEntry e{base + rng.below(span),
+                          static_cast<std::uint32_t>(ref.size())};
+        ref[key] = e;
+        ledger.put(key, e.round, e.owner);
       }
       for (const std::size_t drop :
            {std::size_t{0}, std::size_t{1}, size / 4, size / 2, size - 1,
             size}) {
         MonoLedger pruned = ledger;
         prune_oldest(pruned, drop);
-        ASSERT_EQ(pruned.size(), size - drop)
-            << "span " << span << " size " << size << " drop " << drop;
-        const MonoLedger want = reference_prune(ledger, drop);
-        ASSERT_TRUE(std::equal(pruned.begin(), pruned.end(), want.begin(),
-                               want.end(),
-                               [](const auto& a, const auto& b) {
-                                 return a.first == b.first &&
-                                        a.second.round == b.second.round &&
-                                        a.second.owner == b.second.owner;
-                               }))
-            << "span " << span << " size " << size << " drop " << drop;
+        const std::string where = "span " + std::to_string(span) + " size " +
+                                  std::to_string(size) + " drop " +
+                                  std::to_string(drop);
+        ASSERT_EQ(pruned.size(), size - drop) << where;
+        expect_ledger_equals(pruned, reference_prune(ref, drop), where);
         ++cases;
       }
     }
   }
   EXPECT_EQ(cases, 5U * 4U * 6U);
+}
+
+// The flat ledger against a std::map under long random put / find / prune
+// sequences: keys both random and structured (small integers, high-bit
+// strides -- clustered homes), rounds advancing slowly so many keys share a
+// round, growth across the 3/4 load limit with a prune right after every
+// growth, and drops 0, 1, size - 1 and size.
+TEST(RequestEngine, MonoLedgerMatchesAMapUnderRandomOps) {
+  util::Rng rng(31);
+  RefLedger ref;
+  MonoLedger ledger;
+  EXPECT_EQ(ledger.cells(), 0U);  // no allocation before the first put
+  std::vector<core::RingPos> seen;
+  std::uint64_t round = 5;
+  std::size_t growths = 0, prunes = 0;
+  auto draw_key = [&]() -> core::RingPos {
+    switch (rng.below(4)) {
+      case 0: return rng.below(512);        // small integers
+      case 1: return rng.below(512) << 40;  // high-bit strides
+      case 2:                               // a key put before
+        if (!seen.empty()) return seen[rng.below(seen.size())];
+        [[fallthrough]];
+      default: return rng.next();
+    }
+  };
+  auto prune = [&](std::size_t drop) {
+    prune_oldest(ledger, drop);
+    ref = reference_prune(ref, drop);
+    ++prunes;
+  };
+  for (int step = 0; step < 40000; ++step) {
+    if (rng.below(8) == 0) ++round;
+    // Growth phases (finds and puts only) alternate with prune phases.
+    const bool pruning = step % 10000 >= 7000;
+    const std::uint64_t op = rng.below(100);
+    if (op < 70) {
+      const core::RingPos key = draw_key();
+      const auto owner = static_cast<std::uint32_t>(rng.below(1000));
+      const std::size_t cells = ledger.cells();
+      ledger.put(key, round, owner);
+      ref[key] = {round, owner};
+      seen.push_back(key);
+      ASSERT_LE(4 * ledger.size(), 3 * ledger.cells()) << "step " << step;
+      if (ledger.cells() != cells) {
+        ++growths;
+        ASSERT_EQ(ledger.cells(), cells == 0 ? 64U : 2 * cells);
+        // A prune right after the growth, over the freshly rehashed cells.
+        prune(rng.below(ledger.size() / 4 + 1));
+      }
+    } else if (op < 95 || !pruning) {
+      const core::RingPos key = draw_key();
+      const auto it = ref.find(key);
+      const std::optional<MonoEntry> got = ledger.find(key);
+      ASSERT_EQ(got.has_value(), it != ref.end()) << "step " << step;
+      if (got) {
+        ASSERT_EQ(got->round, it->second.round);
+        ASSERT_EQ(got->owner, it->second.owner);
+      }
+    } else {
+      const std::size_t n = ledger.size();
+      const std::size_t picks[] = {0, 1, n > 0 ? n - 1 : 0, n, n / 2,
+                                   rng.below(n + 1)};
+      // Mostly partial drops; one in 16 is an edge drop (0, 1, size - 1,
+      // size).
+      prune(rng.below(16) != 0 ? picks[4 + rng.below(2)] / 4
+                               : picks[rng.below(4)]);
+    }
+    if (step % 97 == 0)
+      expect_ledger_equals(ledger, ref, "step " + std::to_string(step));
+  }
+  expect_ledger_equals(ledger, ref, "end");
+  EXPECT_GE(growths, 7U);  // 64 -> 4096 cells
+  EXPECT_GT(prunes, 300U);
+}
+
+// Probe runs that wrap past the last cell, where a back-shift moves entries
+// from the first cells into the last ones. The keys are built to land in the
+// last and first cells of a 64-cell table under the ledger's Fibonacci hash
+// (the multiplier is odd, so it is invertible mod 2^64); under another hash
+// they would merely spread out. Every drop from 0 to size, with tied rounds.
+TEST(RequestEngine, MonoLedgerPruneHandlesRunsWrappingPastTheLastCell) {
+  constexpr std::uint64_t kPhi = 0x9E3779B97F4A7C15ULL;
+  std::uint64_t inv = kPhi;  // Newton: each step doubles the exact low bits
+  for (int i = 0; i < 5; ++i) inv *= 2 - kPhi * inv;
+  ASSERT_EQ(inv * kPhi, 1U);
+  util::Rng rng(47);
+  RefLedger ref;
+  MonoLedger ledger;
+  for (std::uint64_t salt = 0; ref.size() < 44; ++salt) {
+    const std::uint64_t home = salt % 4 == 3 ? salt % 3 : 60 + salt % 4;
+    const core::RingPos key = ((home << 58) | salt) * inv;
+    const MonoEntry e{100 + rng.below(4), static_cast<std::uint32_t>(salt)};
+    ref[key] = e;
+    ledger.put(key, e.round, e.owner);
+  }
+  ASSERT_EQ(ledger.cells(), 64U);  // 44 entries stay under the 48 limit
+  for (std::size_t drop = 0; drop <= ref.size(); ++drop) {
+    MonoLedger pruned = ledger;
+    prune_oldest(pruned, drop);
+    expect_ledger_equals(pruned, reference_prune(ref, drop),
+                         "drop " + std::to_string(drop));
+  }
+}
+
+// The round is stored in 32 bits: the bound is explicit and checked, never a
+// silent truncation.
+TEST(RequestEngine, MonoLedgerRejectsRoundsPastTheBound) {
+  MonoLedger ledger;
+  ledger.put(1, MonoLedger::kMaxRound, 7);
+  ASSERT_EQ(ledger.find(1)->round, MonoLedger::kMaxRound);
+  EXPECT_THROW(ledger.put(2, MonoLedger::kMaxRound + 1, 7),
+               std::overflow_error);
+  EXPECT_THROW(ledger.put(1, std::uint64_t{1} << 32, 8), std::overflow_error);
+  EXPECT_EQ(ledger.size(), 1U);
+  EXPECT_FALSE(ledger.find(2).has_value());
+  EXPECT_EQ(ledger.find(1)->owner, 7U);
+}
+
+// Sizing: a 2^20-capped ledger plus a round of new keys (2^16 here, far
+// above the suite's 400 requests per round) stays in 2^21 16-byte cells.
+TEST(RequestEngine, MonoLedgerAtTheCapFitsInTwoToTheTwentyOneCells) {
+  MonoLedger ledger;
+  util::Rng rng(37);
+  while (ledger.size() < (std::size_t{1} << 20) + (std::size_t{1} << 16))
+    ledger.put(rng.next(), ledger.size() >> 10, 1);
+  EXPECT_EQ(ledger.cells(), std::size_t{1} << 21);
+  prune_oldest(ledger, ledger.size() - (std::size_t{3} << 18));
+  EXPECT_EQ(ledger.size(), std::size_t{3} << 18);
+  EXPECT_EQ(ledger.cells(), std::size_t{1} << 21);  // never shrinks
+}
+
+// custody_of scans the slot column: every outstanding id reports its custody,
+// a completed id reports nullopt even once a newer request reuses its slot,
+// and the reused slot reports the newer request's custody.
+TEST(RequestEngine, CustodyOfSurvivesSlotRecycling) {
+  core::Engine engine = stable_engine(40, 41);
+  RequestEngine req(engine);
+  util::Rng rng(43);
+  const auto owners = engine.network().live_owners();
+  std::vector<std::uint64_t> first;
+  std::map<std::uint64_t, std::uint32_t> origin;
+  for (int i = 0; i < 24; ++i) {
+    const std::uint32_t o = owners[rng.below(owners.size())];
+    const std::uint64_t id = req.submit_lookup(rng.next(), o);
+    first.push_back(id);
+    origin[id] = o;
+  }
+  for (const std::uint64_t id : first)
+    EXPECT_EQ(req.custody_of(id), origin[id]);
+  std::set<std::uint64_t> done;
+  auto harvest = [&] {
+    for (const RequestRecord& r : req.completions()) done.insert(r.id);
+  };
+  int guard = 0;
+  while (done.size() < 4 && guard++ < 200) {
+    engine.step();
+    req.on_round();
+    harvest();
+  }
+  ASSERT_GE(done.size(), 4U);
+  ASSERT_LT(done.size(), first.size()) << "need requests still outstanding";
+  std::map<std::uint64_t, std::uint32_t> before;
+  for (const std::uint64_t id : first) {
+    const auto c = req.custody_of(id);
+    ASSERT_EQ(c.has_value(), done.count(id) == 0) << "id " << id;
+    if (c) before[id] = *c;
+  }
+  // As many new requests as slots were freed: each takes a recycled slot
+  // (the free list is used before the columns grow). Their origins are
+  // picked away from the stale custody those slots still hold.
+  std::vector<std::uint64_t> second;
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    const std::uint32_t o = owners[(i * 7 + 3) % owners.size()];
+    const std::uint64_t id = req.submit_lookup(rng.next(), o);
+    second.push_back(id);
+    origin[id] = o;
+  }
+  for (const std::uint64_t id : first) {
+    if (done.count(id)) {
+      EXPECT_FALSE(req.custody_of(id).has_value()) << "completed id " << id;
+    } else {
+      EXPECT_EQ(req.custody_of(id), before[id]) << "id " << id;
+    }
+  }
+  for (const std::uint64_t id : second)
+    EXPECT_EQ(req.custody_of(id), origin[id]);
+  guard = 0;
+  while (req.inflight() > 0 && guard++ < 500) {
+    engine.step();
+    req.on_round();
+    harvest();
+    for (const std::uint64_t id : first)
+      ASSERT_EQ(req.custody_of(id).has_value(), done.count(id) == 0);
+    for (const std::uint64_t id : second)
+      ASSERT_EQ(req.custody_of(id).has_value(), done.count(id) == 0);
+  }
+  EXPECT_EQ(req.inflight(), 0U);
+  EXPECT_EQ(done.size(), first.size() + second.size());
+  EXPECT_FALSE(req.custody_of(first.front()).has_value());
+  EXPECT_FALSE(req.custody_of(UINT64_MAX).has_value());  // the free sentinel
+  EXPECT_FALSE(req.custody_of(1U << 30).has_value());     // never issued
 }
 
 // The request CSV columns: every round row carries req_inflight/req_done/
