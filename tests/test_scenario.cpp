@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -140,11 +144,57 @@ TEST(ScenarioPort, AdversarialRecoveryReproducesPreRefactorDriver) {
   EXPECT_EQ(out.checkpoints[0].fingerprint, legacy_fp);
 }
 
+// One line of tests/golden/scenarios.txt: the scenario name, then per
+// checkpoint label=rounds/rounds_almost/passed/fingerprint, then the
+// whole-run totals -- rounds, final fingerprint, loss and partition drops
+// and the request fingerprint.
+std::string golden_line(const ScenarioOutcome& out) {
+  std::string line = out.name;
+  char buf[160];
+  for (const auto& cp : out.checkpoints) {
+    std::snprintf(buf, sizeof buf, " %s=%" PRIu64 "/%" PRIu64 "/%d/%016" PRIx64,
+                  cp.label.c_str(), cp.rounds, cp.rounds_almost,
+                  cp.passed ? 1 : 0, cp.fingerprint);
+    line += buf;
+  }
+  std::snprintf(buf, sizeof buf,
+                " | total_rounds=%" PRIu64 " final=%016" PRIx64
+                " dropped=%" PRIu64 "/%" PRIu64 " requests=%016" PRIx64,
+                out.total_rounds, out.final_fingerprint, out.messages_dropped,
+                out.partition_dropped, out.requests.fingerprint);
+  return line + buf;
+}
+
+// Diffs the scenario lines against the committed golden. On a mismatch it
+// writes the actual lines into the build directory and prints the cp that
+// re-pins them (only after checking every changed line is meant to move).
+void expect_matches_golden(const std::vector<std::string>& actual) {
+  const std::string golden = RECHORD_SOURCE_DIR "/tests/golden/scenarios.txt";
+  std::vector<std::string> expected;
+  std::ifstream in(golden);
+  for (std::string line; std::getline(in, line);) expected.push_back(line);
+  if (expected == actual) return;
+  for (std::size_t i = 0; i < std::max(expected.size(), actual.size()); ++i) {
+    const std::string want = i < expected.size() ? expected[i] : "(none)";
+    const std::string got = i < actual.size() ? actual[i] : "(none)";
+    EXPECT_EQ(got, want) << "scenario golden line " << i + 1;
+  }
+  const std::string out = RECHORD_BINARY_DIR "/scenarios.txt";
+  std::ofstream f(out);
+  for (const auto& line : actual) f << line << '\n';
+  ADD_FAILURE() << "scenario golden differs; after checking each changed "
+                   "line, re-pin with:\n  cp "
+                << out << ' ' << golden;
+}
+
 // The determinism contract (DESIGN.md §7): a scenario run is bit-identical
 // -- same round counts, same per-checkpoint and final fingerprints -- under
 // the active-set scheduler and the flag-gated full scan, serial and sharded
-// over the 8-thread pool, for EVERY registered scenario.
+// over the 8-thread pool, for EVERY registered scenario. The active serial
+// run is also pinned to tests/golden/scenarios.txt, so a change that moves
+// every mode alike still shows.
 TEST(ScenarioDeterminism, AllScenariosFingerprintEqualAcrossSchedulerModes) {
+  std::vector<std::string> golden;
   for (const auto& info : scenario_registry()) {
     ScenarioParams base;
     base.n = 70;
@@ -183,7 +233,9 @@ TEST(ScenarioDeterminism, AllScenariosFingerprintEqualAcrossSchedulerModes) {
     // The active serial run must actually have used the scheduler.
     EXPECT_GT(ref.replayed_peer_rounds + ref.skipped_peer_rounds, 0U)
         << info.name;
+    golden.push_back(golden_line(ref));
   }
+  expect_matches_golden(golden);
 }
 
 // The zero-delay equivalence backbone of the latency subsystem (DESIGN.md
