@@ -17,7 +17,8 @@
 //   --metrics                 end-of-run metrics-registry summary
 //
 // Exit code 0 iff every convergence checkpoint of every executed scenario
-// passed -- CI runs two scenarios through this binary and relies on it.
+// passed and the runner read every request completion record -- CI runs
+// the scenarios through this binary and relies on it.
 // Exit code 2 on a usage error or an unwritable --csv, --profile-csv,
 // --trace-out or --trace-chrome path.
 
@@ -39,7 +40,9 @@ using namespace rechord;
 void print_outcome(const sim::ScenarioOutcome& out) {
   std::printf("scenario %s: n=%zu, %llu rounds total, %s\n", out.name.c_str(),
               out.n, static_cast<unsigned long long>(out.total_rounds),
-              out.ok ? "all checkpoints passed" : "CHECKPOINT FAILED");
+              out.ok                   ? "all checkpoints passed"
+              : out.completions_missed ? "COMPLETIONS MISSED"
+                                       : "CHECKPOINT FAILED");
   util::Table table({"#", "checkpoint", "events", "peers", "integ", "exact",
                      "live p-r", "skip p-r", "ok"});
   int i = 0;
@@ -55,15 +58,6 @@ void print_outcome(const sim::ScenarioOutcome& out) {
                    cp.passed ? "ok" : "FAILED"});
   }
   table.print(std::cout);
-  if (out.workload.puts + out.workload.lookups > 0) {
-    std::printf("workload: %zu puts (%zu failed), %zu lookups "
-                "(%zu found, %zu stale-miss, %zu lost-miss), mean %.2f hops, "
-                "max %zu records lost\n",
-                out.workload.puts, out.workload.put_failures,
-                out.workload.lookups, out.workload.lookups_found,
-                out.workload.stale_misses, out.workload.lost_misses,
-                out.workload.mean_hops(), out.workload.max_lost_records);
-  }
   if (out.requests.issued > 0) {
     const auto& rq = out.requests;
     std::printf(
@@ -72,7 +66,8 @@ void print_outcome(const sim::ScenarioOutcome& out) {
         "(%llu stale / %llu partition / %llu timeout)\n"
         "          gets: %llu found, %llu stale-miss, %llu lost-miss; "
         "bounces: %llu loss / %llu partition / %llu dead-hop; "
-        "%llu custody failovers; %llu mono violations; fingerprint %016llx\n",
+        "%llu custody failovers; %llu mono violations; fingerprint %016llx\n"
+        "          harvest: %llu completion records evicted unread\n",
         static_cast<unsigned long long>(rq.issued),
         static_cast<unsigned long long>(rq.resolved), rq.mean_hops(),
         rq.mean_rounds_in_flight(),
@@ -89,7 +84,8 @@ void print_outcome(const sim::ScenarioOutcome& out) {
         static_cast<unsigned long long>(rq.dead_hop_bounces),
         static_cast<unsigned long long>(rq.custody_failovers),
         static_cast<unsigned long long>(rq.mono_violations),
-        static_cast<unsigned long long>(rq.fingerprint));
+        static_cast<unsigned long long>(rq.fingerprint),
+        static_cast<unsigned long long>(out.completions_missed));
   }
   if (out.messages_dropped + out.partition_dropped > 0)
     std::printf("faults: %llu messages lost, %llu dropped at partition cut\n",

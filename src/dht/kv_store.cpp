@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "chord/routing.hpp"
 #include "ident/hashing.hpp"
 #include "ident/ring_pos.hpp"
 
@@ -29,14 +30,6 @@ std::vector<std::uint32_t> RoutingView::replica_set(core::RingPos h,
   return owners;
 }
 
-chord::LookupResult RoutingView::route(std::uint32_t from_owner,
-                                       core::RingPos h) const {
-  const std::uint32_t from = proj.vertex_of_owner[from_owner];
-  assert(from != UINT32_MAX);
-  return chord::greedy_lookup(proj.graph, proj.pos, from, h,
-                              64 * proj.pos.size() + 64);
-}
-
 void KvStore::ensure_owner(std::uint32_t owner) {
   if (owner >= storage_.size()) storage_.resize(owner + 1);
 }
@@ -45,60 +38,6 @@ void KvStore::store_copy(std::uint32_t owner, core::RingPos h, Record rec) {
   ensure_owner(owner);
   auto& slot = storage_[owner][h];
   if (slot.version <= rec.version) slot = std::move(rec);
-}
-
-PutResult KvStore::put(const RoutingView& view, std::string_view key,
-                       std::string value, std::uint32_t from_owner) {
-  PutResult result;
-  const core::RingPos h = ident::hash_name(key);
-  const auto route = view.route(from_owner, h);
-  if (!route.success) return result;
-  result.hops = route.hops;
-  result.home_owner = view.proj.owners[route.target];
-  Record rec{std::string(key), std::move(value), ++version_clock_};
-  for (std::uint32_t owner : view.replica_set(h, opt_.replicas))
-    store_copy(owner, h, rec);
-  registry_[rec.key] = h;
-  result.ok = true;
-  return result;
-}
-
-GetResult KvStore::get(const RoutingView& view, std::string_view key,
-                       std::uint32_t from_owner) const {
-  GetResult result;
-  const core::RingPos h = ident::hash_name(key);
-  const auto route = view.route(from_owner, h);
-  if (!route.success) return result;
-  result.hops = route.hops;
-  // Primary first, then walk the successor replicas (one hop each).
-  const auto owners = view.replica_set(h, opt_.replicas);
-  for (std::size_t i = 0; i < owners.size(); ++i) {
-    const std::uint32_t owner = owners[i];
-    if (owner < storage_.size()) {
-      const auto it = storage_[owner].find(h);
-      if (it != storage_[owner].end() && it->second.key == key) {
-        result.found = true;
-        result.value = it->second.value;
-        result.hops += i;  // extra hops to reach the i-th replica
-        result.from_replica = i > 0;
-        return result;
-      }
-    }
-  }
-  return result;
-}
-
-bool KvStore::erase(const RoutingView& view, std::string_view key,
-                    std::uint32_t from_owner) {
-  const core::RingPos h = ident::hash_name(key);
-  const auto route = view.route(from_owner, h);
-  if (!route.success) return false;
-  bool existed = false;
-  for (std::uint32_t owner : view.replica_set(h, opt_.replicas)) {
-    if (owner < storage_.size()) existed |= storage_[owner].erase(h) > 0;
-  }
-  registry_.erase(std::string(key));
-  return existed;
 }
 
 std::size_t KvStore::rebalance(const RoutingView& view) {
@@ -154,9 +93,7 @@ void KvStore::drop(std::uint32_t crashed_owner) {
 void KvStore::put_at(std::uint32_t owner, std::string_view key,
                      std::string value) {
   const core::RingPos h = ident::hash_name(key);
-  Record rec{std::string(key), std::move(value), ++version_clock_};
-  registry_[rec.key] = h;
-  store_copy(owner, h, std::move(rec));
+  store_copy(owner, h, {std::string(key), std::move(value), ++version_clock_});
 }
 
 const std::string* KvStore::get_at(std::uint32_t owner,
@@ -190,24 +127,6 @@ std::size_t KvStore::total_records() const {
 
 std::size_t KvStore::records_on(std::uint32_t owner) const {
   return owner < storage_.size() ? storage_[owner].size() : 0;
-}
-
-std::vector<std::string> KvStore::lost_keys(const RoutingView& view) const {
-  std::vector<std::string> lost;
-  for (const auto& [key, h] : registry_) {
-    bool alive = false;
-    for (std::uint32_t owner : view.proj.owners) {
-      if (owner < storage_.size()) {
-        const auto it = storage_[owner].find(h);
-        if (it != storage_[owner].end() && it->second.key == key) {
-          alive = true;
-          break;
-        }
-      }
-    }
-    if (!alive) lost.push_back(key);
-  }
-  return lost;
 }
 
 }  // namespace rechord::dht

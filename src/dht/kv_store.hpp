@@ -4,9 +4,10 @@
 // Re-Chord contains Chord as a subgraph, so it can faithfully emulate any
 // applications on top of Chord"). Keys are consistently hashed onto the
 // identifier ring; a key lives on the peer whose identifier is the closest
-// clockwise successor of its hash (plus optional successor replicas), and
-// requests are routed with the Chord binary-search strategy over the
-// real-node projection (O(log n) hops).
+// clockwise successor of its hash (plus optional successor replicas). The
+// store holds the data only: puts and gets are routed hop by hop through
+// the live overlay by net::RequestEngine, which stores and fetches at the
+// owner it reached (put_at / get_at).
 //
 // Membership changes follow Chord's data-plane conventions:
 //   * join        -> rebalance() migrates the arc the newcomer now owns,
@@ -16,18 +17,17 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "chord/routing.hpp"
 #include "core/network.hpp"
 #include "core/projection.hpp"
 
 namespace rechord::dht {
 
-/// A routing snapshot of the live overlay (recompute after churn/healing).
+/// A placement snapshot of the live overlay -- which owner is responsible
+/// for a key and which hold its replicas (recompute after churn/healing).
 struct RoutingView {
   core::RealProjection proj;
 
@@ -35,17 +35,11 @@ struct RoutingView {
     return {core::RealProjection::compute(net)};
   }
 
-  [[nodiscard]] std::size_t peer_count() const {
-    return proj.owners.size();
-  }
   /// The owner responsible for hash h: successor(h) on the ring.
   [[nodiscard]] std::uint32_t responsible(core::RingPos h) const;
   /// The first `replicas` distinct owners clockwise from h (successor list).
   [[nodiscard]] std::vector<std::uint32_t> replica_set(core::RingPos h,
                                                        unsigned replicas) const;
-  /// Greedy Chord routing from a peer toward successor(h).
-  [[nodiscard]] chord::LookupResult route(std::uint32_t from_owner,
-                                          core::RingPos h) const;
 };
 
 struct StoreOptions {
@@ -53,35 +47,9 @@ struct StoreOptions {
   unsigned replicas = 1;
 };
 
-struct PutResult {
-  bool ok = false;
-  std::size_t hops = 0;
-  std::uint32_t home_owner = 0;  // primary
-};
-
-struct GetResult {
-  bool found = false;
-  std::string value;
-  std::size_t hops = 0;
-  bool from_replica = false;  // served by a non-primary copy
-};
-
 class KvStore {
  public:
   explicit KvStore(StoreOptions opt = {}) : opt_(opt) {}
-
-  /// Routes from `from_owner` and stores (key, value) on the replica set.
-  PutResult put(const RoutingView& view, std::string_view key,
-                std::string value, std::uint32_t from_owner);
-
-  /// Routes from `from_owner`; falls back to successor replicas when the
-  /// primary lacks the record (each fallback costs one extra hop).
-  [[nodiscard]] GetResult get(const RoutingView& view, std::string_view key,
-                              std::uint32_t from_owner) const;
-
-  /// Removes the key from every live replica; true if any copy existed.
-  bool erase(const RoutingView& view, std::string_view key,
-             std::uint32_t from_owner);
 
   /// Re-assigns every record to the current replica set (Chord's key
   /// migration after churn). Returns the number of records moved or copied.
@@ -99,9 +67,7 @@ class KvStore {
   //
   // The request engine routes over the live overlay round by round and
   // supplies the owner it actually reached; these primitives store/fetch
-  // directly at that owner, without a routing snapshot. Records stored here
-  // share the registry and replica maps with the snapshot paths, so
-  // rebalance()/handoff()/lost_keys() account for them identically.
+  // directly at that owner, without a routing snapshot.
 
   /// Stores (key, value) at `owner` (a single copy; replication happens via
   /// later rebalance, or naturally when a successor already holds a copy).
@@ -120,9 +86,6 @@ class KvStore {
   [[nodiscard]] std::size_t total_records() const;
   /// Records held by one peer.
   [[nodiscard]] std::size_t records_on(std::uint32_t owner) const;
-  /// Keys ever put (and not erased) that no live peer holds any copy of.
-  [[nodiscard]] std::vector<std::string> lost_keys(
-      const RoutingView& view) const;
 
   [[nodiscard]] const StoreOptions& options() const noexcept { return opt_; }
 
@@ -136,8 +99,6 @@ class KvStore {
   StoreOptions opt_;
   /// storage_[owner]: hash -> record. Grows with the owner id space.
   std::vector<std::map<core::RingPos, Record>> storage_;
-  /// Audit registry of live keys (name -> hash), for loss accounting.
-  std::map<std::string, core::RingPos> registry_;
   std::uint64_t version_clock_ = 0;
 
   void ensure_owner(std::uint32_t owner);

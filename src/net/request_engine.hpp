@@ -339,9 +339,9 @@ class RequestEngine {
   explicit RequestEngine(core::Engine& engine, RequestOptions opt = {});
 
   /// Attaches the KV data plane used by kKvPut/kKvGet completions; without
-  /// a store, puts store nothing and gets always miss. The store is shared
-  /// with the snapshot paths (KvLoad/KvRebalance), so live gets see
-  /// snapshot-loaded records and vice versa.
+  /// a store, puts store nothing and gets always miss. The caller keeps
+  /// the store's replication and churn handoff (KvStore::rebalance,
+  /// handoff, drop) in step with membership.
   void bind_store(dht::KvStore* kv) noexcept { kv_ = kv; }
 
   // -- submission (between rounds; the request parks at its origin and takes

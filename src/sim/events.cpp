@@ -34,8 +34,6 @@ const char* event_name(const Event& e) {
     const char* operator()(const RunRounds&) const { return "run-rounds"; }
     const char* operator()(const Checkpoint&) const { return "checkpoint"; }
     const char* operator()(const AwaitAlmost&) const { return "await-almost"; }
-    const char* operator()(const KvLoad&) const { return "kv-load"; }
-    const char* operator()(const KvProbe&) const { return "kv-probe"; }
     const char* operator()(const KvRebalance&) const { return "kv-rebalance"; }
     const char* operator()(const LookupLoad&) const { return "lookup-load"; }
     const char* operator()(const PoissonLookupLoad&) const {

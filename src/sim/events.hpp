@@ -2,7 +2,7 @@
 // Declarative scenario events (DESIGN.md §7). A Scenario is a seeded timeline
 // of these events applied in order to ONE persistent Engine run -- membership
 // bursts, Poisson churn, fault and partition windows, state scrambles,
-// convergence checkpoints and interleaved DHT workload phases. Events carry
+// convergence checkpoints and interleaved request/KV traffic. Events carry
 // no owner ids or rng state of their own: victims, contacts and identifiers
 // are drawn at application time from the scenario's single rng stream, so a
 // timeline is deterministic in (scenario, params) and -- because no draw
@@ -140,26 +140,11 @@ struct AwaitAlmost {
   std::uint64_t max_rounds = 4000;
 };
 
-// -- DHT workload phases ----------------------------------------------------
+// -- KV data plane ----------------------------------------------------------
 
-/// Stores `keys` fresh objects onto the overlay through the dht::KvStore
-/// (replication from ScenarioParams), routing each put from a random live
-/// peer over the CURRENT (possibly still-healing) overlay. Put failures are
-/// counted as workload stalls.
-struct KvLoad {
-  std::size_t keys = 64;
-};
-
-/// Issues `lookups` gets for previously loaded keys from random live peers
-/// over the current overlay, classifying each miss as stale routing (a live
-/// copy exists but was not reached) or a lost record (no live copy
-/// remains), and recording a probe CSV row.
-struct KvProbe {
-  std::size_t lookups = 64;
-};
-
-/// Re-replicates / migrates every record to the current responsible peers
-/// (Chord's key migration after churn).
+/// Re-replicates / migrates every record stored by kKvPut requests to the
+/// current responsible peers (Chord's key migration after churn; the copy
+/// count is ScenarioParams::replicas).
 struct KvRebalance {};
 
 // -- in-network request workload (DESIGN.md §9) ------------------------------
@@ -220,9 +205,8 @@ using Event =
     std::variant<JoinBurst, LeaveBurst, CrashBurst, MixedChurn, PoissonChurn,
                  Scramble, CrashRestart, AssignDatacenters, SetLatencyModel,
                  SetMessageLoss, SetSleep, PartitionBegin, PartitionEnd,
-                 RunRounds, Checkpoint, AwaitAlmost, KvLoad, KvProbe,
-                 KvRebalance, LookupLoad, PoissonLookupLoad,
-                 AwaitRequestsDrained>;
+                 RunRounds, Checkpoint, AwaitAlmost, KvRebalance, LookupLoad,
+                 PoissonLookupLoad, AwaitRequestsDrained>;
 
 /// Short kind name for logs and the per-round CSV ("join-burst", ...).
 [[nodiscard]] const char* event_name(const Event& e);

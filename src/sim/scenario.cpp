@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <ostream>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -59,8 +58,7 @@ class ScenarioRunner {
                     "unmarked_edges", "ring_edges", "connection_edges",
                     "active", "replayed", "skipped", "changed", "inflight",
                     "req_inflight", "req_done", "req_failed",
-                    "mono_violations", "dc_lag_max", "lookups", "found",
-                    "stale", "lost", "checkpoint_rounds",
+                    "mono_violations", "dc_lag_max", "checkpoint_rounds",
                     "checkpoint_passed"});
     }
     engine_.set_round_observer([this](const core::RoundMetrics& mt) {
@@ -71,11 +69,16 @@ class ScenarioRunner {
       // Resolved live puts make their keys eligible for later kKvGet draws.
       // Indexing is offset by the records evicted from the completion ring
       // (completions_dropped() is 0 without a cap, so this degenerates to a
-      // plain scan); a cap must exceed one round's completions for the
-      // harvest to see every put.
+      // plain scan). A record the ring evicted before this harvest read it
+      // -- a cap below one round's completions -- is counted, and a nonzero
+      // count fails the run: a resolved put it hid would drop out of the
+      // gettable keys unseen.
       const auto& comps = req_.completions();
       const std::uint64_t base = req_.completions_dropped();
-      if (completions_seen_ < base) completions_seen_ = base;
+      if (completions_seen_ < base) {
+        out_.completions_missed += base - completions_seen_;
+        completions_seen_ = base;
+      }
       for (; completions_seen_ < base + comps.size(); ++completions_seen_) {
         const auto& rec = comps[completions_seen_ - base];
         if (rec.kind == net::RequestKind::kKvPut &&
@@ -142,8 +145,8 @@ class ScenarioRunner {
           metrics_.gauge_set(name, static_cast<double>(value));
         if (csv_) csv_->cell(value);
       }
-      if (csv_)  // the probe and checkpoint columns stay empty on round rows
-        for (int i = 0; i < 6; ++i) csv_->cell("");
+      if (csv_)  // the checkpoint columns stay empty on round rows
+        csv_->cell("").cell("");
     });
   }
 
@@ -161,18 +164,13 @@ class ScenarioRunner {
     out_.messages_dropped = engine_.messages_dropped();
     out_.partition_dropped = engine_.partition_dropped();
     out_.certified_rounds = engine_.certified_rounds();
+    out_.ok = out_.ok && out_.completions_missed == 0;
     // Whole-run totals that only exist at the end join the registry here,
     // so the end-of-run summary is one snapshot.
     metrics_.counter_set("req.issued", out_.requests.issued);
     metrics_.counter_set("engine.messages_dropped", out_.messages_dropped);
     metrics_.counter_set("engine.partition_dropped", out_.partition_dropped);
-    metrics_.counter_set("workload.puts", out_.workload.puts);
-    metrics_.counter_set("workload.put_failures", out_.workload.put_failures);
-    metrics_.counter_set("workload.lookups", out_.workload.lookups);
-    metrics_.counter_set("workload.lookups_found",
-                         out_.workload.lookups_found);
-    metrics_.counter_set("workload.stale_misses", out_.workload.stale_misses);
-    metrics_.counter_set("workload.lost_misses", out_.workload.lost_misses);
+    metrics_.counter_set("req.completions_missed", out_.completions_missed);
     out_.metrics = metrics_.snapshot();
     engine_.set_round_observer(nullptr);
     return std::move(out_);
@@ -421,64 +419,11 @@ class ScenarioRunner {
     if (csv_) {
       csv_->row();
       csv_->cell("checkpoint").cell(cp.label).cell(cp.at_round);
-      for (int i = 0; i < 19; ++i) csv_->cell("");
+      for (int i = 0; i < 15; ++i) csv_->cell("");
       csv_->cell(cp.rounds);
       csv_->cell(std::int64_t{cp.passed ? 1 : 0});
     }
     out_.checkpoints.push_back(std::move(cp));
-  }
-
-  void apply(const KvLoad& e) {
-    const auto view = dht::RoutingView::snapshot(engine_.network());
-    for (std::size_t i = 0; i < e.keys; ++i) {
-      const std::string key = "obj-" + std::to_string(keys_.size());
-      const std::uint32_t from =
-          view.proj.owners[rng_.below(view.peer_count())];
-      const auto put = kv_.put(view, key, "value-" + key, from);
-      ++out_.workload.puts;
-      if (!put.ok)
-        ++out_.workload.put_failures;
-      else
-        keys_.push_back(key);
-    }
-  }
-
-  void apply(const KvProbe& e) {
-    if (keys_.empty()) return;
-    const auto view = dht::RoutingView::snapshot(engine_.network());
-    const auto lost_vec = kv_.lost_keys(view);
-    const std::set<std::string> lost(lost_vec.begin(), lost_vec.end());
-    std::size_t found = 0, stale = 0, lost_hit = 0;
-    for (std::size_t i = 0; i < e.lookups; ++i) {
-      const std::string& key = keys_[rng_.below(keys_.size())];
-      const std::uint32_t from =
-          view.proj.owners[rng_.below(view.peer_count())];
-      const auto get = kv_.get(view, key, from);
-      if (get.found) {
-        ++found;
-        out_.workload.hops_sum += get.hops;
-      } else if (lost.contains(key)) {
-        ++lost_hit;
-      } else {
-        ++stale;
-      }
-    }
-    out_.workload.lookups += e.lookups;
-    out_.workload.lookups_found += found;
-    out_.workload.stale_misses += stale;
-    out_.workload.lost_misses += lost_hit;
-    out_.workload.max_lost_records =
-        std::max(out_.workload.max_lost_records, lost.size());
-    if (csv_) {
-      csv_->row();
-      csv_->cell("probe").cell(current_event_).cell(engine_.rounds_executed());
-      for (int i = 0; i < 15; ++i) csv_->cell("");
-      csv_->cell(static_cast<std::uint64_t>(e.lookups));
-      csv_->cell(static_cast<std::uint64_t>(found));
-      csv_->cell(static_cast<std::uint64_t>(stale));
-      csv_->cell(static_cast<std::uint64_t>(lost.size()));
-      csv_->cell("").cell("");
-    }
   }
 
   void apply(const KvRebalance&) {
@@ -583,6 +528,15 @@ double resolve_p(double v, double def) { return v < 0.0 ? def : v; }
 
 // -- registered scenario builders --------------------------------------------
 
+// Stores `keys` fresh objects through the request engine, waits for the puts
+// to resolve, then re-replicates every record onto its --replicas successors
+// -- so a KV timeline's churn starts from fully replicated data.
+void load_keys(Scenario& sc, std::size_t keys) {
+  sc.timeline.push_back(LookupLoad{.count = keys, .kind = LoadKind::kKvPut});
+  sc.timeline.push_back(AwaitRequestsDrained{.label = "load-drain"});
+  sc.timeline.push_back(KvRebalance{});
+}
+
 Scenario build_churn_mix(const ScenarioParams& p) {
   Scenario sc;
   sc.name = "churn-mix";
@@ -627,20 +581,24 @@ Scenario build_flash_crowd(const ScenarioParams& p) {
   Scenario sc;
   sc.name = "flash-crowd";
   sc.description =
-      "join storm: n/2 peers join in one round while the DHT keeps serving "
-      "lookups mid-healing";
+      "join storm: n/2 peers join in one round while hop-by-hop gets "
+      "traverse the healing overlay, then the healed overlay serves a "
+      "violation-free get wave";
   sc.n = resolve(p.n, 48);
   const std::size_t joiners = resolve(p.ops, sc.n / 2);
   sc.timeline.push_back(Checkpoint{.label = "bootstrap"});
-  sc.timeline.push_back(KvLoad{.keys = 64});
+  load_keys(sc, 64);
   sc.timeline.push_back(JoinBurst{.count = joiners});
   for (int i = 0; i < 3; ++i) {
+    sc.timeline.push_back(LookupLoad{.count = 24, .kind = LoadKind::kKvGet});
     sc.timeline.push_back(RunRounds{.rounds = 2});
-    sc.timeline.push_back(KvProbe{.lookups = 32});
   }
+  sc.timeline.push_back(AwaitRequestsDrained{.label = "mid-heal-drain"});
   sc.timeline.push_back(Checkpoint{.label = "healed"});
   sc.timeline.push_back(KvRebalance{});
-  sc.timeline.push_back(KvProbe{.lookups = 64});
+  sc.timeline.push_back(LookupLoad{.count = 48, .kind = LoadKind::kKvGet});
+  sc.timeline.push_back(AwaitRequestsDrained{
+      .label = "stable-drain", .require_no_mono_violations = true});
   return sc;
 }
 
@@ -652,17 +610,19 @@ Scenario build_partition_heal(const ScenarioParams& p) {
       "during the cut, then the partition heals to the exact fixpoint";
   sc.n = resolve(p.n, 40);
   sc.timeline.push_back(Checkpoint{.label = "bootstrap"});
-  sc.timeline.push_back(KvLoad{.keys = 64});
+  load_keys(sc, 64);
   sc.timeline.push_back(
       PartitionBegin{.fraction = resolve_p(p.intensity, 0.5)});
   for (int i = 0; i < 2; ++i) {
     sc.timeline.push_back(RunRounds{.rounds = 3});
-    sc.timeline.push_back(KvProbe{.lookups = 32});
+    sc.timeline.push_back(LookupLoad{.count = 32, .kind = LoadKind::kKvGet});
   }
   sc.timeline.push_back(PartitionEnd{});
   sc.timeline.push_back(Checkpoint{.label = "healed"});
   sc.timeline.push_back(KvRebalance{});
-  sc.timeline.push_back(KvProbe{.lookups = 64});
+  sc.timeline.push_back(LookupLoad{.count = 64, .kind = LoadKind::kKvGet});
+  sc.timeline.push_back(AwaitRequestsDrained{
+      .label = "stable-drain", .require_no_mono_violations = true});
   return sc;
 }
 
@@ -782,7 +742,7 @@ Scenario build_flash_crowd_3dc(const ScenarioParams& p) {
   const std::size_t joiners = resolve(p.ops, sc.n / 2);
   const auto z = core::DelayClass{};
   sc.timeline.push_back(Checkpoint{.label = "bootstrap"});
-  sc.timeline.push_back(KvLoad{.keys = 64});
+  load_keys(sc, 64);
   sc.timeline.push_back(AssignDatacenters{.dcs = 3});
   sc.timeline.push_back(SetLatencyModel{
       .dcs = 3,
@@ -793,13 +753,15 @@ Scenario build_flash_crowd_3dc(const ScenarioParams& p) {
   sc.timeline.push_back(JoinBurst{.count = joiners});
   for (int i = 0; i < 3; ++i) {
     sc.timeline.push_back(RunRounds{.rounds = 2});
-    sc.timeline.push_back(KvProbe{.lookups = 32});
+    sc.timeline.push_back(LookupLoad{.count = 32, .kind = LoadKind::kKvGet});
   }
   sc.timeline.push_back(AwaitAlmost{.label = "wan-almost", .max_rounds = 4000});
   sc.timeline.push_back(SetLatencyModel{});
   sc.timeline.push_back(Checkpoint{.label = "healed"});
   sc.timeline.push_back(KvRebalance{});
-  sc.timeline.push_back(KvProbe{.lookups = 64});
+  sc.timeline.push_back(LookupLoad{.count = 64, .kind = LoadKind::kKvGet});
+  sc.timeline.push_back(AwaitRequestsDrained{
+      .label = "stable-drain", .require_no_mono_violations = true});
   return sc;
 }
 
@@ -863,7 +825,7 @@ Scenario build_lookups_poisson_churn(const ScenarioParams& p) {
   const double rate = resolve_p(p.intensity, 0.3);
   const std::size_t waves = resolve(p.ops, 3);
   sc.timeline.push_back(Checkpoint{.label = "bootstrap"});
-  sc.timeline.push_back(KvLoad{.keys = 48});
+  load_keys(sc, 48);
   for (std::size_t w = 0; w < waves; ++w) {
     sc.timeline.push_back(LookupLoad{.count = 24, .kind = LoadKind::kLookup});
     sc.timeline.push_back(LookupLoad{.count = 8, .kind = LoadKind::kKvPut});
@@ -898,7 +860,7 @@ Scenario build_lookups_wan_partition(const ScenarioParams& p) {
                              .spike_percent = 25};
   const core::DelayClass z{};
   sc.timeline.push_back(Checkpoint{.label = "bootstrap"});
-  sc.timeline.push_back(KvLoad{.keys = 48});
+  load_keys(sc, 48);
   sc.timeline.push_back(AssignDatacenters{.dcs = 2});
   sc.timeline.push_back(SetLatencyModel{.dcs = 2, .classes = {z, wan, wan, z}});
   sc.timeline.push_back(LookupLoad{.count = 24, .kind = LoadKind::kKvGet});
@@ -920,31 +882,6 @@ Scenario build_lookups_wan_partition(const ScenarioParams& p) {
   return sc;
 }
 
-Scenario build_flash_crowd_live(const ScenarioParams& p) {
-  Scenario sc;
-  sc.name = "flash-crowd-live";
-  sc.description =
-      "flash-crowd join storm with LIVE hop-by-hop gets replacing the "
-      "snapshot probe path: requests issued mid-heal traverse the storm, "
-      "then the healed overlay serves a violation-free wave";
-  sc.n = resolve(p.n, 48);
-  const std::size_t joiners = resolve(p.ops, sc.n / 2);
-  sc.timeline.push_back(Checkpoint{.label = "bootstrap"});
-  sc.timeline.push_back(KvLoad{.keys = 64});
-  sc.timeline.push_back(JoinBurst{.count = joiners});
-  for (int i = 0; i < 3; ++i) {
-    sc.timeline.push_back(LookupLoad{.count = 24, .kind = LoadKind::kKvGet});
-    sc.timeline.push_back(RunRounds{.rounds = 2});
-  }
-  sc.timeline.push_back(AwaitRequestsDrained{.label = "mid-heal-drain"});
-  sc.timeline.push_back(Checkpoint{.label = "healed"});
-  sc.timeline.push_back(KvRebalance{});
-  sc.timeline.push_back(LookupLoad{.count = 48, .kind = LoadKind::kKvGet});
-  sc.timeline.push_back(AwaitRequestsDrained{
-      .label = "stable-drain", .require_no_mono_violations = true});
-  return sc;
-}
-
 // -- open-loop production-traffic scenarios (DESIGN.md §10) ------------------
 //
 // These drive the request engine with a Poisson ARRIVAL PROCESS instead of
@@ -954,7 +891,8 @@ Scenario build_flash_crowd_live(const ScenarioParams& p) {
 // sharded engine keeps up with production traffic. Both scenarios cap the
 // completion ring and the searchability ledger, exercising the bounded-
 // memory path (the caps change NO outcome: totals and fingerprints are
-// cap-independent).
+// cap-independent, and a round that completes more requests than the ring
+// holds fails the run through ScenarioOutcome::completions_missed).
 
 // The CI sustained-throughput smoke: stabilize a 20k-peer overlay (almost-
 // stability -- the traffic starts the moment every desired edge exists;
@@ -977,7 +915,7 @@ Scenario build_open_loop_lookups(const ScenarioParams& p) {
   const std::uint64_t waves = resolve(p.ops, 3);
   sc.timeline.push_back(
       AwaitAlmost{.label = "bootstrap-almost", .max_rounds = 4000});
-  sc.timeline.push_back(KvLoad{.keys = 64});
+  load_keys(sc, 64);
   sc.timeline.push_back(PoissonLookupLoad{.requests_per_round = rate,
                                           .rounds = waves * 6,
                                           .kind = LoadKind::kLookup});
@@ -1003,7 +941,7 @@ Scenario build_open_loop_flash_crowd(const ScenarioParams& p) {
   const double rate = resolve_p(p.intensity, 8.0);
   const std::uint64_t waves = resolve(p.ops, 3);
   sc.timeline.push_back(Checkpoint{.label = "bootstrap"});
-  sc.timeline.push_back(KvLoad{.keys = 64});
+  load_keys(sc, 64);
   sc.timeline.push_back(PoissonLookupLoad{.requests_per_round = rate,
                                           .rounds = waves * 2,
                                           .kind = LoadKind::kLookup});
@@ -1045,8 +983,8 @@ const std::vector<ScenarioInfo>& scenario_registry() {
           &build_adversarial_recovery, &build_poisson_storm,
           &build_crash_restart, &build_wan_two_dc, &build_flash_crowd_3dc,
           &build_sustained_churn, &build_lookups_poisson_churn,
-          &build_lookups_wan_partition, &build_flash_crowd_live,
-          &build_open_loop_lookups, &build_open_loop_flash_crowd}) {
+          &build_lookups_wan_partition, &build_open_loop_lookups,
+          &build_open_loop_flash_crowd}) {
       const Scenario sc = build(ScenarioParams{});
       reg.push_back({sc.name, sc.description, build});
     }

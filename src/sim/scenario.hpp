@@ -6,7 +6,7 @@
 // never rebuilt between phases, so later phases exercise exactly the state
 // (and scheduler caches) the earlier ones left behind. The registry holds
 // the named scenarios; run_scenario executes one and reports per-checkpoint
-// convergence results, DHT workload health and (optionally) a per-round CSV
+// convergence results, request/KV totals and (optionally) a per-round CSV
 // metric series.
 
 #include <cstdint>
@@ -49,7 +49,7 @@ struct ScenarioParams {
   std::uint64_t seed = 1;   // seeds BOTH the initial state and the event rng
   std::size_t ops = 0;      // membership-op count knob; 0 = scenario default
   double intensity = -1.0;  // fault-probability knob; < 0 = scenario default
-  unsigned replicas = 2;    // DHT replication factor for workload phases
+  unsigned replicas = 2;    // KV copies KvRebalance keeps per record
   core::EngineOptions engine;  // threads / full_scan / fault seeds
 };
 
@@ -81,40 +81,22 @@ struct CheckpointResult {
   std::uint64_t skipped_peer_rounds = 0;
 };
 
-/// DHT workload health across all KvLoad / KvProbe phases of a run.
-struct WorkloadTotals {
-  std::size_t puts = 0;
-  std::size_t put_failures = 0;  // routing failed mid-heal
-  std::size_t lookups = 0;
-  std::size_t lookups_found = 0;
-  /// Misses with a live copy somewhere: the routing/placement view was
-  /// stale (the overlay had not healed under the key yet).
-  std::size_t stale_misses = 0;
-  /// Misses of keys with no surviving copy.
-  std::size_t lost_misses = 0;
-  /// Keys without any live copy at the worst probe.
-  std::size_t max_lost_records = 0;
-  std::uint64_t hops_sum = 0;  // over found lookups
-  [[nodiscard]] double mean_hops() const noexcept {
-    return lookups_found
-               ? static_cast<double>(hops_sum) /
-                     static_cast<double>(lookups_found)
-               : 0.0;
-  }
-};
-
 struct ScenarioOutcome {
   std::string name;
   std::size_t n = 0;  // resolved initial size
-  bool ok = false;    // every checkpoint passed
+  bool ok = false;    // every checkpoint passed, no completion missed
   std::uint64_t total_rounds = 0;
   std::uint64_t final_fingerprint = 0;
   std::uint64_t messages_dropped = 0;
   std::uint64_t partition_dropped = 0;
   std::vector<CheckpointResult> checkpoints;
-  WorkloadTotals workload;
   /// In-network request workload (LookupLoad events; all zero without any).
   net::RequestTotals requests;
+  /// Completion records the request engine's ring evicted before the
+  /// runner's harvest read them (RequestOptions::completion_cap below one
+  /// round's completions). A resolved put among them would drop out of the
+  /// gettable keys, so any nonzero count fails the run (ok = false).
+  std::uint64_t completions_missed = 0;
   core::RoundMetrics final_metrics;
   /// Scheduler work over the whole run (full_scan counts everything live).
   std::uint64_t live_peer_rounds = 0;
@@ -129,8 +111,8 @@ struct ScenarioOutcome {
 };
 
 /// Executes `scenario` under `params`. When `csv` is non-null, writes the
-/// per-round metric series plus one row per workload probe and checkpoint
-/// (see DESIGN.md §7 for the schema).
+/// per-round metric series plus one row per checkpoint (see DESIGN.md §7.4
+/// for the schema).
 [[nodiscard]] ScenarioOutcome run_scenario(const Scenario& scenario,
                                            const ScenarioParams& params,
                                            std::ostream* csv = nullptr);

@@ -427,8 +427,9 @@ TEST(ScenarioEngine, PartitionWindowBitIdenticalAndHeals) {
   }
 }
 
-// The per-round CSV series: one "round" row per executed engine round, one
-// "checkpoint" row per checkpoint, probe rows for kv probes.
+// The per-round CSV series: one "round" row per executed engine round and
+// one "checkpoint" row per checkpoint (the full header and the row widths
+// are pinned in test_request's ScenarioCsvCarriesRequestAndDcLagColumns).
 TEST(ScenarioCsv, SeriesHasOneRowPerRound) {
   ScenarioParams params;
   params.n = 20;
@@ -448,6 +449,36 @@ TEST(ScenarioCsv, SeriesHasOneRowPerRound) {
   }
   EXPECT_EQ(round_rows, out.total_rounds);
   EXPECT_EQ(checkpoint_rows, out.checkpoints.size());
+}
+
+// A completion cap below one round's completions evicts records before the
+// runner's harvest reads them. A resolved put among them would drop out of
+// the gettable keys unseen, so the run counts the evicted records, publishes
+// the count and fails.
+TEST(ScenarioHarvest, CompletionRecordsEvictedUnreadFailTheRun) {
+  Scenario sc;
+  sc.name = "harvest-overflow";
+  sc.n = 32;
+  sc.timeline = {Checkpoint{.label = "bootstrap"},
+                 LookupLoad{.count = 64, .kind = LoadKind::kKvPut},
+                 AwaitRequestsDrained{.label = "load-drain"}};
+  ScenarioParams params;
+  params.seed = 3;
+  sc.requests.completion_cap = 4;
+  const auto capped = run_scenario(sc, params);
+  for (const auto& cp : capped.checkpoints) EXPECT_TRUE(cp.passed) << cp.label;
+  EXPECT_EQ(capped.requests.puts_stored, 64U);
+  EXPECT_GT(capped.completions_missed, 0U);
+  EXPECT_LE(capped.completions_missed, 64U - 4U);  // the last 4 are read
+  EXPECT_FALSE(capped.ok);
+  EXPECT_EQ(capped.metrics.at("req.completions_missed").value,
+            static_cast<double>(capped.completions_missed));
+  // Without the cap the same run reads every record and passes.
+  sc.requests.completion_cap = 0;
+  const auto uncapped = run_scenario(sc, params);
+  EXPECT_TRUE(uncapped.ok);
+  EXPECT_EQ(uncapped.completions_missed, 0U);
+  EXPECT_EQ(uncapped.requests.fingerprint, capped.requests.fingerprint);
 }
 
 }  // namespace
