@@ -13,11 +13,19 @@
 //               {active set, full scan} x {1, 2} threads
 //   latency     128 lookups at n=1000 under the sync, wan and spike delay
 //               models, with 0 or 1 churn events per round
+//   memory      (inside steady) the active engine's memory by part at each
+//               fixpoint after the recording step: network per-slot and
+//               per-owner arrays, edge sets, reader index, the recording
+//               cache by field, the op-sender index and the round scratch;
+//               each throughput cell adds its ledger's bytes
 //
 // stdout gets every exact counter as bench::BenchJson lines, plus any FAIL:
 // line. It is committed as tests/golden/perf.jsonl and the Release ctest
-// `perf_golden` diffs a fresh run against it. stderr gets every wall-clock
-// value (ns/round, speedup, req/s, ms); it is reported, never diffed.
+// `perf_golden` diffs a fresh run against it; the memory lines there count
+// elements x element size, which the simulated state alone decides. stderr
+// gets every wall-clock value (ns/round, speedup, req/s, ms) and the
+// allocator-dependent memory values (capacities, the process's VmHWM); it
+// is reported, never diffed.
 // Exits 1 if a gate trips:
 //   - a materialized fixpoint changes, or the full scan is less than 3x
 //     slower per round than the certified or the uncertified active-set
@@ -29,6 +37,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -121,6 +130,36 @@ Timed run_rounds(core::Engine& engine, std::size_t rounds,
   return t;
 }
 
+/// Peak resident set of this process so far (VmHWM), in MB; 0 where
+/// /proc/self/status is unavailable.
+double vm_hwm_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmHWM:", 0) == 0)
+      return static_cast<double>(std::stoull(line.substr(6))) / 1024.0;
+  return 0.0;
+}
+
+/// The engine's memory by part (core::Engine::memory_parts) and in total:
+/// exact bytes to the golden, capacities and the process's VmHWM to the
+/// wall stream.
+void record_memory(const core::Engine& engine, std::size_t n) {
+  std::uint64_t bytes = 0, reserved = 0;
+  for (const core::MemoryPart& part : engine.memory_parts()) {
+    const Params p{{"n", num(n)}, {"part", bench::jstr(part.name)}};
+    exact.record("memory", p, "bytes", std::uint64_t{part.bytes});
+    wall.record("memory", p, "reserved_bytes",
+                std::uint64_t{part.reserved_bytes});
+    bytes += part.bytes;
+    reserved += part.reserved_bytes;
+  }
+  const Params p{{"n", num(n)}};
+  exact.record("memory", p, "bytes", bytes);
+  wall.record("memory", p, "reserved_bytes", reserved);
+  wall.record("memory", p, "vm_hwm_mb", vm_hwm_mb());
+}
+
 /// Returns the full scan's ns/round at this n.
 double run_steady(const core::Network& base, std::size_t n) {
   const Params p{{"n", num(n)}};
@@ -135,6 +174,7 @@ double run_steady(const core::Network& base, std::size_t n) {
   const Timed ta = run_rounds(active, 30);
   exact.record("steady", p, "edge_set_bytes",
                std::uint64_t{active.network().edge_set_bytes()});
+  record_memory(active, n);
   const Timed tu = run_rounds(active, 30, /*void_certificate=*/true);
   core::Engine full(base, {.threads = kThreads, .full_scan = true});
   fixed &= warm_up(full);
@@ -229,6 +269,7 @@ struct LoadResult {
   std::uint64_t p50 = 0, p99 = 0, max = 0;  // window rounds in flight
   std::uint64_t certified = 0;  // window rounds answered by a certificate
   std::uint64_t ledger = 0;  // mono_ledger_size() at the end of the window
+  std::uint64_t ledger_bytes = 0;  // mono_ledger_bytes() at the same point
   double window_ms = 0.0;
   bool drained = false;  // the queue emptied before the drain guard
   std::uint64_t fingerprint = 0;  // after the drain: the whole workload
@@ -288,6 +329,7 @@ LoadResult run_load(const core::Network& base, std::size_t n,
   res.window_ms = timer.elapsed_ns() / 1e6;
   res.certified = engine.certified_rounds() - certified0;
   res.ledger = req.mono_ledger_size();
+  res.ledger_bytes = req.mono_ledger_bytes();
   res.issued = req.totals().issued - issued0;
   res.done = req.totals().completed() - done0;
   res.inflight = req.inflight();
@@ -329,6 +371,7 @@ void run_throughput(const core::Network& base, std::size_t n) {
     exact.record("throughput", p, "fingerprint", hex(r.fingerprint));
     exact.record("throughput", p, "certified_rounds", r.certified);
     exact.record("throughput", p, "mono_ledger_size", r.ledger);
+    exact.record("memory", p, "mono_ledger_bytes", r.ledger_bytes);
     wall.record("throughput", p, "req_per_sec",
                 static_cast<double>(r.done) / (r.window_ms / 1e3));
     wall.record("throughput", p, "ms_per_round",

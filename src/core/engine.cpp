@@ -29,6 +29,18 @@ std::size_t op_hash(const DelayedOp& op) noexcept {
   h ^= static_cast<std::uint64_t>(op.kind) * 0xC2B2AE3D27D4EB4FULL;
   return static_cast<std::size_t>(h ^ (h >> 32));
 }
+
+// Stores [first, last) in `v` with capacity == size. A cache vector lives as
+// long as its peer's cache, so growth slack would stay resident for the run.
+template <class T, class It>
+void assign_exact(std::vector<T>& v, It first, It last) {
+  if (v.capacity() == static_cast<std::size_t>(std::distance(first, last))) {
+    v.assign(first, last);
+  } else {
+    std::vector<T> exact(first, last);
+    v.swap(exact);
+  }
+}
 }  // namespace
 
 EngineOptions engine_options_from_cli(const util::Cli& cli,
@@ -152,14 +164,15 @@ void Engine::rebuild_flow_indices() {
   const bool ops_covered_by_edges = opt_.message_loss <= 0.0 &&
                                     opt_.sleep_probability <= 0.0 &&
                                     !partition_active_ && inflight_count_ == 0;
-  op_reader_pairs_.clear();
-  op_sender_pairs_.clear();
+  // The pair collections are locals, released when the rebuild returns:
+  // they are O(cached ops) and a rebuild is rare, so keeping them as members
+  // would only hold that much memory idle between rebuilds.
+  std::vector<std::uint64_t> reader_pairs, sender_pairs;
   for (const auto& bucket : inflight_)
     for (const DelayedOp& op : bucket) {
       const std::uint32_t to = owner_of(op.target), po = owner_of(op.payload);
       if (to != po)
-        op_reader_pairs_.push_back((static_cast<std::uint64_t>(po) << 32) |
-                                   to);
+        reader_pairs.push_back((static_cast<std::uint64_t>(po) << 32) | to);
     }
   for (std::uint32_t o = 0; o < net_.owner_count(); ++o) {
     PeerCache& pcc = cache_[o];
@@ -175,27 +188,29 @@ void Engine::rebuild_flow_indices() {
         const std::uint32_t to = owner_of(op.target),
                             po = owner_of(op.payload);
         if (to != po)
-          op_reader_pairs_.push_back((static_cast<std::uint64_t>(po) << 32) |
-                                     to);
+          reader_pairs.push_back((static_cast<std::uint64_t>(po) << 32) | to);
       }
     for (std::uint32_t d : pcc.op_owners)
       if (d != o)
-        op_sender_pairs_.push_back((static_cast<std::uint64_t>(d) << 32) | o);
+        sender_pairs.push_back((static_cast<std::uint64_t>(d) << 32) | o);
   }
-  net_.rebuild_reader_index(op_reader_pairs_);
   // Counting scatter for the op-sender index. The collection above walks
   // owners in ascending order with sorted-unique op_owners per cache, so for
   // a fixed referenced owner the senders arrive already sorted and unique --
   // no per-bucket post-processing needed.
   const std::uint32_t n = net_.owner_count();
-  util::bucket_by_key(op_sender_pairs_, n, sender_counts_, sender_cursor_,
-                      sender_scatter_);
-  for (std::uint32_t d = 0; d < n; ++d) {
-    auto& out = op_senders_[d];
-    out.clear();
-    out.assign(sender_scatter_.begin() + sender_counts_[d],
-               sender_scatter_.begin() + sender_counts_[d + 1]);
+  {
+    std::vector<std::size_t> counts;
+    std::vector<std::uint32_t> senders;
+    util::bucket_by_key(sender_pairs, n, counts, senders);
+    sender_pairs.clear();
+    sender_pairs.shrink_to_fit();
+    for (std::uint32_t d = 0; d < n; ++d)
+      op_senders_[d].assign(
+          senders.begin() + static_cast<std::ptrdiff_t>(counts[d]),
+          senders.begin() + static_cast<std::ptrdiff_t>(counts[d + 1]));
   }
+  net_.rebuild_reader_index(reader_pairs);
 }
 
 void Engine::compute_skip_set() {
@@ -413,9 +428,9 @@ void Engine::replay_peer(std::uint32_t owner, const PeerCache& pc,
   // The peer's inputs are unchanged since its last live run, so the phase --
   // a pure function of those inputs -- would reproduce exactly the recorded
   // output. Apply it without entering the rules. This is also what rotates a
-  // resting connection-edge chain in place: the recorded delta removes each
-  // chain edge and re-creates the head, the recorded ops re-deliver the
-  // forwarded hops.
+  // resting connection-edge chain in place: the recorded delta empties each
+  // connection set (one kClearSet) and re-creates the head, the recorded ops
+  // re-deliver the forwarded hops.
   const std::vector<LocalEdit>& delta = pc.delta;
   for (std::size_t i = 0; i < delta.size(); ++i) {
     const LocalEdit& e = delta[i];
@@ -427,7 +442,7 @@ void Engine::replay_peer(std::uint32_t owner, const PeerCache& pc,
         // Only effective removals were recorded, and the set is back in its
         // recorded state, so a run on one (slot, kind) that ascends in the
         // network order is a subsequence of the set: one compaction pass
-        // (how rules 4 and 6 removed it) instead of an erase per edge.
+        // (how rule 4 removed it) instead of an erase per edge.
         std::size_t j = i + 1;
         while (j < delta.size() && delta[j].op == LocalEdit::Op::kRemoveEdge &&
                delta[j].slot == e.slot && delta[j].kind == e.kind &&
@@ -445,6 +460,9 @@ void Engine::replay_peer(std::uint32_t owner, const PeerCache& pc,
         i = j - 1;
         break;
       }
+      case LocalEdit::Op::kClearSet:
+        net_.clear_set(e.slot, e.kind);
+        break;
       case LocalEdit::Op::kClearEdges:
         net_.clear_edges(e.slot);
         break;
@@ -526,12 +544,7 @@ void Engine::run_range(std::size_t begin, std::size_t end,
         prev.rr.swap(pc->rr);
         prev.max_index = pc->max_index;
         prev.activity = pc->activity;
-      } else {
-        // Keep the previous recording for the notes_fresh comparison (the
-        // paranoid branch above already swapped it into the same scratch).
-        paranoid_prev_[shard].delta.swap(pc->delta);
       }
-      pc->delta.clear();
     }
     // Every peer that reaches the live rule execution counts as active --
     // under full_scan that is every participating peer -- except paranoid
@@ -539,7 +552,11 @@ void Engine::run_range(std::size_t begin, std::size_t end,
     if (!check) ++shard_active_[shard];
     const std::size_t op_base = out.size();
     RuleCtx ctx(net_, owner, out, arena);
-    if (active && !bulk_round_) ctx.record = &pc->delta;
+    // The run records into shard scratch; the cache keeps the previous
+    // recording until the comparison below decides whether to replace it.
+    std::vector<LocalEdit>& record = shard_record_[shard];
+    record.clear();
+    if (active && !bulk_round_) ctx.record = &record;
     Rules::run_all(ctx);
     act += ctx.activity;
     // Indices above ctx.max_index are dead after rule 1; publish clears
@@ -572,7 +589,7 @@ void Engine::run_range(std::size_t begin, std::size_t end,
           static_cast<std::size_t>(out.end() - fresh_begin) ==
               pc->ops.size() &&
           std::equal(fresh_begin, out.end(), pc->ops.begin()) &&
-          pc->delta == paranoid_prev_[shard].delta;
+          record == pc->delta;
       pc->notes_fresh = !output_same;
       if (!output_same) {
         if (lazy_evict_round_ && !pc->op_owners.empty()) {
@@ -615,21 +632,24 @@ void Engine::run_range(std::size_t begin, std::size_t end,
           }
         }
         pc->delay_memo_epoch = 0;  // ops changed: delay-class memo is stale
-        pc->ops.assign(fresh_begin, out.end());
-        pc->op_owners.clear();
-        for (auto it = pc->ops.begin(); it != pc->ops.end(); ++it) {
-          pc->op_owners.push_back(owner_of(it->target));
-          pc->op_owners.push_back(owner_of(it->payload));
+        assign_exact(pc->delta, record.begin(), record.end());
+        assign_exact(pc->ops, fresh_begin, out.end());
+        // Two owners per op, deduplicated in the shard's arena (the rules
+        // are done with it), so the cache stores only the distinct ones.
+        std::vector<Slot>& owners = arena.drop;
+        owners.clear();
+        for (const DelayedOp& op : pc->ops) {
+          owners.push_back(owner_of(op.target));
+          owners.push_back(owner_of(op.payload));
         }
-        std::sort(pc->op_owners.begin(), pc->op_owners.end());
-        pc->op_owners.erase(
-            std::unique(pc->op_owners.begin(), pc->op_owners.end()),
-            pc->op_owners.end());
+        std::sort(owners.begin(), owners.end());
+        assign_exact(pc->op_owners, owners.begin(),
+                     std::unique(owners.begin(), owners.end()));
       }
-      pc->rl.assign(ctx.rl_cur.begin(),
-                    ctx.rl_cur.begin() + ctx.max_index + 1);
-      pc->rr.assign(ctx.rr_cur.begin(),
-                    ctx.rr_cur.begin() + ctx.max_index + 1);
+      assign_exact(pc->rl, ctx.rl_cur.begin(),
+                   ctx.rl_cur.begin() + ctx.max_index + 1);
+      assign_exact(pc->rr, ctx.rr_cur.begin(),
+                   ctx.rr_cur.begin() + ctx.max_index + 1);
       pc->max_index = ctx.max_index;
       pc->activity = ctx.activity;
       pc->valid = true;
@@ -665,6 +685,7 @@ void Engine::run_peers() {
   const bool serial = threads <= 1 || owners_.size() < 64;
   const unsigned shards = serial ? 1 : threads;
   if (arenas_.size() < shards) arenas_.resize(shards);
+  if (shard_record_.size() < shards) shard_record_.resize(shards);
   if (paranoid_prev_.size() < shards) paranoid_prev_.resize(shards);
   shard_activity_.assign(shards, RuleActivity{});
   shard_active_.assign(shards, 0);
@@ -706,19 +727,26 @@ void Engine::run_peers() {
   // disjoint per peer, dirty marks are per-slot/per-owner, wake_/cache_
   // accesses are per-owner, and the network's metric counters are relaxed
   // atomics. Determinism: queues are concatenated in shard order, which
-  // equals the serial (ascending-owner) emission order.
-  if (shard_ops_.size() < shards) shard_ops_.resize(shards);
+  // equals the serial (ascending-owner) emission order. Shard 0 emits
+  // straight into ops_ (empty here); shard t > 0 into shard_ops_[t - 1],
+  // appended after it.
+  if (shard_ops_.size() < shards - 1) shard_ops_.resize(shards - 1);
   WorkerPool& pool = shared_worker_pool(shards);
   const std::size_t chunk = (owners_.size() + shards - 1) / shards;
   pool.run(shards, [&](unsigned t) {
     const std::size_t begin = std::min<std::size_t>(t * chunk, owners_.size());
     const std::size_t end =
         std::min<std::size_t>(begin + chunk, owners_.size());
-    shard_ops_[t].clear();
-    run_range(begin, end, shard_ops_[t], t);
+    std::vector<DelayedOp>& out = t == 0 ? ops_ : shard_ops_[t - 1];
+    if (t > 0) out.clear();
+    run_range(begin, end, out, t);
   });
-  for (unsigned t = 0; t < shards; ++t)
-    ops_.insert(ops_.end(), shard_ops_[t].begin(), shard_ops_[t].end());
+  std::size_t total = ops_.size();
+  for (unsigned t = 1; t < shards; ++t) total += shard_ops_[t - 1].size();
+  ops_.reserve(total);
+  for (unsigned t = 1; t < shards; ++t)
+    ops_.insert(ops_.end(), shard_ops_[t - 1].begin(),
+                shard_ops_[t - 1].end());
 }
 
 void Engine::apply_deferred_evictions() {
@@ -1149,6 +1177,16 @@ RoundMetrics Engine::step() {
     cert_version_ = net_.topology_version();
     cert_epoch_ = inputs_epoch_;
     cert_metrics_ = mt;
+    // Certified rounds emit nothing, so the op buffers -- sized by the
+    // largest round so far, the all-live recording round at a large
+    // fixpoint -- would sit idle until the next perturbation: release them.
+    // The next round that emits regrows them.
+    for (std::vector<DelayedOp>* v : {&ops_, &resolved_, &route_buf_}) {
+      v->clear();
+      v->shrink_to_fit();
+    }
+    shard_ops_.clear();
+    shard_ops_.shrink_to_fit();
   }
   }
   return publish_round(mt);
@@ -1161,6 +1199,82 @@ RoundMetrics Engine::publish_round(const RoundMetrics& mt) {
              mt.boundary_peers, util::TraceKind::kRound});
   if (observer_) observer_(mt);
   return mt;
+}
+
+std::vector<MemoryPart> Engine::memory_parts() const {
+  MemoryPart headers{"cache.headers"}, delta{"cache.delta"}, ops{"cache.ops"},
+      op_owners{"cache.op_owners"}, rl_rr{"cache.rl_rr"},
+      reg{"cache.reg_memos"}, senders{"engine.op_senders"},
+      owner_arrays{"engine.owner_arrays"}, inflight{"engine.inflight"},
+      scratch{"engine.round_scratch"};
+  headers.add(cache_);
+  for (const PeerCache& pc : cache_) {
+    delta.add(pc.delta);
+    ops.add(pc.ops);
+    op_owners.add(pc.op_owners);
+    rl_rr.add(pc.rl);
+    rl_rr.add(pc.rr);
+    reg.add(pc.reg_read_targets);
+    reg.add(pc.reg_op_pairs);
+    reg.add(pc.reg_op_senders);
+  }
+  senders.add(op_senders_);
+  for (const auto& v : op_senders_) senders.add(v);
+  owner_arrays.add(wake_);
+  owner_arrays.add(skip_);
+  owner_arrays.add(boundary_);
+  owner_arrays.add(partition_group_);
+  owner_arrays.add(dc_of_owner_);
+  owner_arrays.add(inflight_refs_);
+  owner_arrays.add(inflight_ref_listed_);
+  owner_arrays.add(inflight_ref_owners_);
+  for (const auto& bucket : inflight_) inflight.add(bucket);
+  const auto add_all = [&scratch](const auto& per_shard) {
+    scratch.add(per_shard);
+    for (const auto& v : per_shard) scratch.add(v);
+  };
+  scratch.add(owners_);
+  scratch.add(ops_);
+  scratch.add(resolved_);
+  scratch.add(payload_buf_);
+  scratch.add(route_buf_);
+  scratch.add(rl_next_);
+  scratch.add(rr_next_);
+  scratch.add(phase_b_);
+  scratch.add(changed_owners_);
+  scratch.add(published_owners_);
+  scratch.add(oob_owners_);
+  scratch.add(shard_activity_);
+  scratch.add(shard_active_);
+  scratch.add(shard_replayed_);
+  scratch.add(shard_skipped_);
+  scratch.add(shard_boundary_);
+  scratch.add(shard_mismatch_);
+  add_all(shard_ops_);
+  add_all(shard_record_);
+  add_all(shard_op_src_);
+  add_all(shard_emit_only_);
+  add_all(shard_pending_evict_);
+  add_all(shard_fresh_set_);
+  add_all(shard_live_);
+  add_all(shard_ran_);
+  scratch.add(arenas_);
+  for (const RuleArena& a : arenas_)
+    for (const auto* v : {&a.siblings, &a.known, &a.known_real, &a.scratch,
+                          &a.cand, &a.held, &a.drop})
+      scratch.add(*v);
+  scratch.add(paranoid_prev_);
+  for (const PeerCache& pc : paranoid_prev_) {
+    scratch.add(pc.delta);
+    scratch.add(pc.ops);
+    scratch.add(pc.rl);
+    scratch.add(pc.rr);
+  }
+  std::vector<MemoryPart> parts = {headers, delta,        ops,      op_owners,
+                                   rl_rr,   reg,          senders,  owner_arrays,
+                                   inflight, scratch};
+  for (const MemoryPart& p : net_.memory_parts()) parts.push_back(p);
+  return parts;
 }
 
 RoundMetrics Engine::measure() const {

@@ -391,6 +391,13 @@ class Engine {
     return replay_mismatches_;
   }
 
+  /// The engine's memory by part (bench instrumentation, DESIGN.md §6.8):
+  /// the recording cache by field ("cache.headers", "cache.delta",
+  /// "cache.ops", "cache.op_owners", "cache.rl_rr", "cache.reg_memos"), the
+  /// op-sender index, the per-owner scheduler arrays, the latency queue and
+  /// the round scratch, followed by Network::memory_parts().
+  [[nodiscard]] std::vector<MemoryPart> memory_parts() const;
+
  private:
   /// Cached phase output of one peer's last live run; valid (replayable)
   /// until a slot in the peer's read set changes.
@@ -506,7 +513,10 @@ class Engine {
   std::vector<Slot> payload_buf_;
   std::vector<Slot> rl_next_, rr_next_;
   std::vector<RuleActivity> shard_activity_;
+  // Op queues of shards 1..T-1 (shard 0 emits into ops_ directly).
   std::vector<std::vector<DelayedOp>> shard_ops_;
+  // Per shard: the edits of the live run in progress (RuleCtx::record).
+  std::vector<std::vector<LocalEdit>> shard_record_;
   std::vector<RuleArena> arenas_;  // one per worker thread
   std::unique_ptr<WorkerPool> pool_;
 
@@ -526,10 +536,6 @@ class Engine {
   // reverse of PeerCache::op_owners). Append-only over-approximation like
   // the network's reader index; rebuilt from scratch at an epoch reset.
   std::vector<std::vector<std::uint32_t>> op_senders_;
-  std::vector<std::uint64_t> op_reader_pairs_;  // rebuild_flow_indices scratch
-  std::vector<std::uint64_t> op_sender_pairs_;  // ditto
-  std::vector<std::size_t> sender_counts_, sender_cursor_;  // ditto
-  std::vector<std::uint32_t> sender_scatter_;               // ditto
   /// Translation-closure lazy rule (2) (DESIGN.md §6.6): in a calm round,
   /// owners referenced by a live runner's cached ops are NOT evicted up
   /// front -- whether the fresh run keeps re-sending each op is only

@@ -213,17 +213,21 @@ bool Network::has_edge(Slot s, EdgeKind k, Slot target) const noexcept {
   return it != set.end() && *it == target;
 }
 
+bool Network::clear_set(Slot s, EdgeKind k) {
+  auto& set = sets_[static_cast<std::size_t>(k)][s];
+  if (set.empty()) return false;
+  if (alive_[s])
+    edge_live_[static_cast<std::size_t>(k)].add(
+        -static_cast<std::int64_t>(set.size()));
+  set.clear();
+  mark_dirty(s);
+  return true;
+}
+
 bool Network::clear_edges(Slot s) {
   bool any = false;
-  for (int k = 0; k < kEdgeKinds; ++k) {
-    auto& set = sets_[k][s];
-    if (set.empty()) continue;
-    if (alive_[s])
-      edge_live_[k].add(-static_cast<std::int64_t>(set.size()));
-    set.clear();
-    any = true;
-  }
-  if (any) mark_dirty(s);
+  for (int k = 0; k < kEdgeKinds; ++k)
+    any |= clear_set(s, static_cast<EdgeKind>(k));
   return any;
 }
 
@@ -372,9 +376,10 @@ void Network::note_reader(std::uint32_t target_owner,
 void Network::rebuild_reader_index(std::span<const std::uint64_t> extra_pairs) {
   // Flat collect -> sort -> unique -> distribute. Entries keep note_reader's
   // semantics: one (target_owner, reader_owner) pair per edge (any kind, live
-  // or not), self-pairs excluded.
-  auto& pairs = reader_pairs_buf_;
-  pairs.assign(extra_pairs.begin(), extra_pairs.end());
+  // or not), self-pairs excluded. The buffers are locals: a rebuild runs at
+  // an epoch reset or a storm exit, and holding its O(edges) scratch between
+  // rebuilds would keep it resident for the whole run.
+  std::vector<std::uint64_t> pairs(extra_pairs.begin(), extra_pairs.end());
   for (Slot s = 0; s < slot_count(); ++s) {
     const std::uint32_t o = owner_of(s);
     for (const auto& per_kind : sets_)
@@ -389,13 +394,17 @@ void Network::rebuild_reader_index(std::span<const std::uint64_t> extra_pairs) {
   // most) -- much cheaper than one comparison sort over every edge in the
   // system.
   const std::uint32_t n = owner_count();
-  util::bucket_by_key(pairs, n, reader_counts_buf_, reader_cursor_buf_,
-                      reader_scatter_buf_);
+  std::vector<std::size_t> counts;
+  std::vector<std::uint32_t> scatter;
+  util::bucket_by_key(pairs, n, counts, scatter);
+  pairs.clear();  // released before the per-owner vectors are filled
+  pairs.shrink_to_fit();
   for (std::uint32_t o = 0; o < n; ++o) {
     auto& out = readers_[o];
     out.clear();
-    const auto begin = reader_scatter_buf_.begin() + reader_counts_buf_[o];
-    const auto end = reader_scatter_buf_.begin() + reader_counts_buf_[o + 1];
+    const auto begin = scatter.begin() + static_cast<std::ptrdiff_t>(counts[o]);
+    const auto end =
+        scatter.begin() + static_cast<std::ptrdiff_t>(counts[o + 1]);
     std::sort(begin, end);
     out.assign(begin, std::unique(begin, end));
   }
@@ -406,6 +415,27 @@ std::size_t Network::edge_set_bytes() const noexcept {
   for (const auto& per_kind : sets_)
     for (const auto& set : per_kind) bytes += set.capacity() * sizeof(Slot);
   return bytes;
+}
+
+std::vector<MemoryPart> Network::memory_parts() const {
+  MemoryPart slots{"net.slot_arrays"}, owners{"net.owner_arrays"},
+      edges{"net.edge_sets"}, readers{"net.reader_index"};
+  slots.add(pos_);
+  slots.add(alive_);
+  slots.add(rl_);
+  slots.add(rr_);
+  slots.add(slot_dirty_);
+  slots.add(slot_digest_);
+  slots.add(pub_digest_);
+  for (const auto& per_kind : sets_) {
+    slots.add(per_kind);  // the set headers
+    for (const auto& set : per_kind) edges.add(set);
+  }
+  owners.add(owner_pos_);
+  owners.add(owner_dirty_);
+  owners.add(readers_);
+  for (const auto& r : readers_) readers.add(r);
+  return {slots, owners, edges, readers};
 }
 
 std::string Network::describe(Slot s) const {

@@ -169,6 +169,9 @@ class Network {
   }
   /// Clears all three sets of `s`; returns false when they were empty.
   bool clear_edges(Slot s);
+  /// Clears edges(s, k); returns false when it was empty. Equivalent to
+  /// remove_edges_bulk over the whole set, capacity kept alike.
+  bool clear_set(Slot s, EdgeKind k);
 
   // -- published closest-real-neighbor variables (previous round) ------------
 
@@ -294,6 +297,11 @@ class Network {
   }
   /// Bytes currently reserved by all edge-set vectors (bench instrumentation).
   [[nodiscard]] std::size_t edge_set_bytes() const noexcept;
+  /// The network's memory by part (bench instrumentation): "net.slot_arrays"
+  /// (every per-slot array, the three edge-set headers per slot included),
+  /// "net.owner_arrays", "net.edge_sets" (the elements) and
+  /// "net.reader_index".
+  [[nodiscard]] std::vector<MemoryPart> memory_parts() const;
 
   /// Human-readable description of a slot, e.g. "0.250000(v3@7)" -- used in
   /// test failure messages and DOT labels.
@@ -325,10 +333,6 @@ class Network {
   detail::RelaxedCell<std::uint64_t> topo_version_;  // see topology_version()
 
   std::vector<Slot> merge_buf_;  // single-threaded scratch (commit/normalize)
-  // rebuild_reader_index scratch (counting-sort buffers)
-  std::vector<std::uint64_t> reader_pairs_buf_;
-  std::vector<std::size_t> reader_counts_buf_, reader_cursor_buf_;
-  std::vector<std::uint32_t> reader_scatter_buf_;
 
   void mark_dirty(Slot s) noexcept {
     slot_dirty_[s] = 1;

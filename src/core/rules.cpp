@@ -409,10 +409,10 @@ void Rules::rule6_connection(RuleCtx& ctx) {
         ctx.siblings[i], EdgeKind::kConnection, ctx.siblings[i + 1]);
 
   // forward-cedges. Both branches remove the held edge, so ui's connection
-  // set ends empty: the removals are one bulk call over the snapshot.
+  // set ends empty: the walk reads the set in place (it only emits delayed
+  // ops), then one clear removes every held edge.
   for (Slot ui : ctx.siblings) {
-    std::vector<Slot>& held = ctx.arena.held;
-    held = net.edges(ui, EdgeKind::kConnection);
+    const std::vector<Slot>& held = net.edges(ui, EdgeKind::kConnection);
     if (held.empty()) continue;
     // Candidates Nu(ui) ∪ S(ui): neither changes while forwarding (only
     // connection edges are removed and all emissions are delayed ops), so
@@ -438,7 +438,7 @@ void Rules::rule6_connection(RuleCtx& ctx) {
         ++ctx.activity.cedge_forwards;
       }
     }
-    ctx.remove_edges(ui, EdgeKind::kConnection, held);
+    ctx.clear_set(ui, EdgeKind::kConnection);
   }
 }
 

@@ -85,7 +85,7 @@ struct RuleArena {
   std::vector<Slot> known_real;
   std::vector<Slot> scratch;
   std::vector<Slot> cand;  // rule 5/6 candidate sets
-  std::vector<Slot> held;  // rule 5/6 held-edge snapshots
+  std::vector<Slot> held;  // rule 5 held-edge snapshot
   std::vector<Slot> drop;  // rule 4 edges to remove, sorted
 };
 
@@ -139,6 +139,15 @@ struct RuleCtx {
     if (record)
       for (Slot t : targets)
         record->push_back({s, t, LocalEdit::Op::kRemoveEdge, k});
+  }
+  /// Empties edges(s, k) (Network::clear_set) and records ONE kClearSet,
+  /// not an edit per element: a replay meets the set in its recorded state,
+  /// so emptying it is the same edit, and the record drops nothing a
+  /// comparison needs -- rule 6, the caller, emits an op naming every
+  /// element it held.
+  void clear_set(Slot s, EdgeKind k) {
+    if (net.clear_set(s, k) && record)
+      record->push_back({s, kInvalidSlot, LocalEdit::Op::kClearSet, k});
   }
   void clear_edges(Slot s) {
     if (net.clear_edges(s) && record)

@@ -23,8 +23,7 @@ std::uint64_t pack(Slot from, Slot to) {
 void StableSpec::FlatEdges::assign(const std::vector<std::uint64_t>& pairs,
                                    std::uint32_t slots) {
   assert(pairs.size() <= UINT32_MAX);  // 32-bit offsets
-  std::vector<std::uint32_t> cursor;
-  util::bucket_by_key(pairs, slots, off, cursor, to);
+  util::bucket_by_key(pairs, slots, off, to);
 }
 
 StableSpec StableSpec::compute(const Network& net) {

@@ -6,7 +6,9 @@
 // i == 0 for the real node itself. Slot ids are stable for the lifetime of a
 // network, so edges are plain slot references.
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "ident/ring_pos.hpp"
 
@@ -68,14 +70,32 @@ struct LocalEdit {
     kClearEdges,  // clear_edges(slot)
     kSetAlive,    // set_alive(slot, true)
     kSetDead,     // set_alive(slot, false)
+    kClearSet,    // clear_set(slot, kind): one edge set emptied
   };
   Slot slot;
   Slot target;  // kAddEdge / kRemoveEdge only
   Op op;
-  EdgeKind kind;  // kAddEdge / kRemoveEdge only
+  EdgeKind kind;  // kAddEdge / kRemoveEdge / kClearSet only
 
   friend constexpr bool operator==(const LocalEdit&,
                                    const LocalEdit&) noexcept = default;
+};
+
+/// Memory held by one part of the simulator's state (Network::memory_parts,
+/// Engine::memory_parts). `bytes` is elements x element size, a pure
+/// function of the simulated state; `reserved_bytes` is the capacity behind
+/// them, which also depends on the allocator's growth policy. bench_perf
+/// pins the first and reports the second.
+struct MemoryPart {
+  const char* name = "";
+  std::size_t bytes = 0;
+  std::size_t reserved_bytes = 0;
+
+  template <class T>
+  void add(const std::vector<T>& v) noexcept {
+    bytes += v.size() * sizeof(T);
+    reserved_bytes += v.capacity() * sizeof(T);
+  }
 };
 
 /// A cross-node state change: the paper's "delayed assignment" A ⇐ B.

@@ -582,6 +582,7 @@ void RequestEngine::prune_mono_ledger() {
   // re-prune every round. Pruned keys can no longer witness a violation --
   // the documented trade for bounded memory under open-loop load.
   const std::size_t target = opt_.mono_ledger_cap - opt_.mono_ledger_cap / 4;
+  totals_.mono_ledger_pruned += mono_.size() - target;
   prune_oldest(mono_, mono_.size() - target);
 }
 

@@ -169,6 +169,7 @@ class MonoLedger {
   /// Largest storable round. put() throws std::overflow_error past it
   /// rather than truncate (UINT32_MAX itself marks an empty cell).
   static constexpr std::uint64_t kMaxRound = UINT32_MAX - 1;
+  static constexpr std::size_t kCellBytes = 16;
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   /// Allocated cells (0 or a power of two >= 64).
@@ -192,7 +193,7 @@ class MonoLedger {
     std::uint32_t round;
     std::uint32_t owner;
   };
-  static_assert(sizeof(RingPos) == 8, "MonoLedger cells are 16 bytes");
+  static_assert(sizeof(Cell) == kCellBytes, "MonoLedger cells are 16 bytes");
   static constexpr std::uint32_t kEmpty = UINT32_MAX;
 
   [[nodiscard]] std::size_t home(RingPos key) const noexcept {
@@ -274,6 +275,11 @@ struct RequestTotals {
   /// failed to resolve at a later round with BOTH the earlier result owner
   /// and the failing request's origin still alive.
   std::uint64_t mono_violations = 0;
+  /// Keys the RequestOptions::mono_ledger_cap prune dropped from the ledger.
+  /// Each could have witnessed a later violation, so mono_violations is a
+  /// lower bound whenever this is nonzero (published as
+  /// `cap.mono_ledger.hits`).
+  std::uint64_t mono_ledger_pruned = 0;
   /// Order-sensitive fold over every completion (id, rounds, hops, retries,
   /// status, result, found) -- the determinism-contract fingerprint.
   std::uint64_t fingerprint = 0;
@@ -389,6 +395,11 @@ class RequestEngine {
   /// memory metric the sustained-throughput bench and scenario runs watch.
   [[nodiscard]] std::size_t mono_ledger_size() const noexcept {
     return mono_.size();
+  }
+  /// Bytes of the ledger's table: its cells x 16 (it never shrinks, so a
+  /// 2^20-capped ledger settles at 32 MiB).
+  [[nodiscard]] std::size_t mono_ledger_bytes() const noexcept {
+    return mono_.cells() * MonoLedger::kCellBytes;
   }
   /// Current custody owner of an outstanding request; nullopt once it
   /// completed. Test instrumentation: a scan over the slot column, O(slots).

@@ -171,6 +171,8 @@ class ScenarioRunner {
     metrics_.counter_set("engine.messages_dropped", out_.messages_dropped);
     metrics_.counter_set("engine.partition_dropped", out_.partition_dropped);
     metrics_.counter_set("req.completions_missed", out_.completions_missed);
+    metrics_.counter_set("cap.mono_ledger.hits",
+                         out_.requests.mono_ledger_pruned);
     out_.metrics = metrics_.snapshot();
     engine_.set_round_observer(nullptr);
     return std::move(out_);

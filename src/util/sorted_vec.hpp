@@ -23,18 +23,16 @@ bool insert_sorted_unique(std::vector<T>& v, const T& value) {
 /// after the call, bucket k's values sit in `out[counts[k] .. counts[k+1])`
 /// in input order (not sorted, not deduplicated -- callers post-process per
 /// bucket as needed). One histogram pass + one scatter pass, O(pairs +
-/// buckets); the caller owns the scratch vectors so repeated rebuilds reuse
-/// their capacity. Every key must be < `buckets`, and `Count` must hold
+/// buckets). Every key must be < `buckets`, and `Count` must hold
 /// `pairs.size()`.
 template <typename Count>
 void bucket_by_key(const std::vector<std::uint64_t>& pairs,
                    std::uint32_t buckets, std::vector<Count>& counts,
-                   std::vector<Count>& cursor,
                    std::vector<std::uint32_t>& out) {
   counts.assign(buckets + 1, 0);
   for (std::uint64_t p : pairs) ++counts[(p >> 32) + 1];
   for (std::uint32_t b = 0; b < buckets; ++b) counts[b + 1] += counts[b];
-  cursor.assign(counts.begin(), counts.end());
+  std::vector<Count> cursor(counts.begin(), counts.end() - 1);
   out.resize(pairs.size());
   for (std::uint64_t p : pairs)
     out[cursor[p >> 32]++] = static_cast<std::uint32_t>(p & 0xFFFFFFFFu);

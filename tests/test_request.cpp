@@ -570,6 +570,11 @@ TEST(RequestEngine, MonoLedgerCapBoundsMemory) {
   EXPECT_EQ(bounded.mono_violations, 0U);
   EXPECT_EQ(bounded.fingerprint, unbounded.fingerprint);
   EXPECT_EQ(bounded.resolved, unbounded.resolved);
+  // The cap counts its hits: every resolved key entered the ledger once, so
+  // the keys the prunes dropped are exactly the ones it no longer holds.
+  EXPECT_EQ(unbounded.mono_ledger_pruned, 0U);
+  EXPECT_GT(bounded.mono_ledger_pruned, 0U);
+  EXPECT_EQ(bounded.mono_ledger_pruned, full_size - capped_size);
 }
 
 // The flat ledger's contents as an ordered map, the reference model of the

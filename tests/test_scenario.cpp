@@ -481,5 +481,29 @@ TEST(ScenarioHarvest, CompletionRecordsEvictedUnreadFailTheRun) {
   EXPECT_EQ(uncapped.requests.fingerprint, capped.requests.fingerprint);
 }
 
+// The ledger cap counts its hits: a cap below one load's distinct keys
+// prunes, and the run publishes RequestTotals::mono_ledger_pruned as
+// cap.mono_ledger.hits. The prune changes no request outcome.
+TEST(ScenarioCaps, MonoLedgerPrunesArePublished) {
+  Scenario sc;
+  sc.name = "ledger-cap";
+  sc.n = 32;
+  sc.timeline = {Checkpoint{.label = "bootstrap"}, LookupLoad{.count = 64},
+                 AwaitRequestsDrained{.label = "load-drain"}};
+  ScenarioParams params;
+  params.seed = 3;
+  sc.requests.mono_ledger_cap = 16;
+  const auto capped = run_scenario(sc, params);
+  ASSERT_TRUE(capped.ok);
+  EXPECT_GT(capped.requests.mono_ledger_pruned, 0U);
+  EXPECT_EQ(capped.metrics.at("cap.mono_ledger.hits").value,
+            static_cast<double>(capped.requests.mono_ledger_pruned));
+  sc.requests.mono_ledger_cap = 0;
+  const auto uncapped = run_scenario(sc, params);
+  ASSERT_TRUE(uncapped.ok);
+  EXPECT_EQ(uncapped.metrics.at("cap.mono_ledger.hits").value, 0.0);
+  EXPECT_EQ(uncapped.requests.fingerprint, capped.requests.fingerprint);
+}
+
 }  // namespace
 }  // namespace rechord::sim

@@ -157,6 +157,65 @@ TEST(Scheduler, ParanoidReplayCrossCheckFindsNoMismatch) {
   EXPECT_GT(checked_replays, 1000U);  // the check must have had real targets
 }
 
+// Rule 6 records each emptied connection set as ONE kClearSet edit rather
+// than a removal per held edge, and replay_peer applies it as
+// Network::clear_set. At a materialized fixpoint every peer with virtual
+// nodes empties and refills its connection sets each round, so nearly every
+// cached delta carries the record. Through the fixpoint and a k-crash
+// recovery, the active engine with and without paranoid_replay must match
+// the serial full scan fingerprint for fingerprint, on 1 and 2 threads; the
+// paranoid cross-check must find no mismatch, and both kinds of replay must
+// actually have run.
+TEST(Scheduler, ClearSetReplayMatchesFullScanThroughCrashRecovery) {
+  const Network base = bench::stable_network(96, 11);
+  for (const unsigned threads : {1U, 2U}) {
+    Engine active(base, {.threads = threads});
+    Engine paranoid(base, {.threads = threads, .paranoid_replay = true});
+    Engine full(base, {.threads = 1, .full_scan = true});
+    std::uint64_t replayed = 0, checked = 0;
+    bool fixed = false;
+    // Runs `rounds` rounds, or with `to_fixpoint` until the full scan stops
+    // changing (at most `rounds`).
+    const auto run = [&](int rounds, const char* phase, bool to_fixpoint) {
+      for (int r = 0; r < rounds && !(to_fixpoint && fixed); ++r) {
+        const auto ma = active.step();
+        const auto mp = paranoid.step();
+        const auto mf = full.step();
+        replayed += ma.replayed_peers;
+        checked += mp.replayed_peers;
+        const auto where = [&] {
+          return ::testing::Message()
+                 << "threads=" << threads << " " << phase << " round " << r;
+        };
+        ASSERT_EQ(ma.changed, mf.changed) << where();
+        ASSERT_EQ(mp.changed, mf.changed) << where();
+        ASSERT_EQ(active.network().state_fingerprint(),
+                  full.network().state_fingerprint())
+            << where();
+        ASSERT_EQ(paranoid.network().state_fingerprint(),
+                  full.network().state_fingerprint())
+            << where();
+        ASSERT_EQ(paranoid.replay_check_failures(), 0U) << where();
+        fixed = !mf.changed;
+      }
+    };
+    run(4, "fixpoint", false);
+    if (HasFatalFailure()) return;
+    util::Rng rng(threads * 131);
+    for (int k = 0; k < 3; ++k) {
+      const auto owners = full.network().live_owners();
+      const std::uint32_t pick = owners[rng.below(owners.size())];
+      for (Engine* e : {&active, &paranoid, &full}) crash(e->network(), pick);
+    }
+    fixed = false;
+    run(5000, "recovery", true);
+    if (HasFatalFailure()) return;
+    EXPECT_TRUE(fixed) << "threads=" << threads;
+    EXPECT_GT(replayed, 0U) << "threads=" << threads;
+    EXPECT_GT(checked, 0U) << "threads=" << threads;
+  }
+}
+
 // Fixpoint detection agreement plus the scheduler's raison d'être: once the
 // fixpoint is reached, every peer rests -- the whole op flow is recognized
 // as a resting chain and skipped outright (no rules, no replay, no ops) --
