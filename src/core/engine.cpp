@@ -175,13 +175,7 @@ void Engine::rebuild_flow_indices() {
         reader_pairs.push_back((static_cast<std::uint64_t>(po) << 32) | to);
     }
   for (std::uint32_t o = 0; o < net_.owner_count(); ++o) {
-    PeerCache& pcc = cache_[o];
-    // New registration epoch: the per-peer memos restart empty; entries a
-    // later fresh recording re-references are re-registered (idempotently)
-    // once and re-memoized then.
-    pcc.reg_read_targets.clear();
-    pcc.reg_op_pairs.clear();
-    pcc.reg_op_senders.clear();
+    const PeerCache& pcc = cache_[o];
     if (!pcc.valid || !net_.owner_alive(o)) continue;
     if (!ops_covered_by_edges)
       for (const DelayedOp& op : pcc.ops) {
@@ -266,14 +260,14 @@ void Engine::compute_skip_set() {
   // leaving it takes the storm dying down to a quarter -- otherwise a long
   // recovery oscillates between bare rounds and mass re-recording rounds
   // that the next storm round immediately invalidates again. The entry bar
-  // is deliberately high: a storm round invalidates EVERY live runner's
-  // cache, so leaving it costs one all-live re-record round plus a
-  // ground-truth index rebuild -- worth it at bring-up (everyone genuinely
-  // woken, many storm rounds follow) but a net loss for mid-size churn
-  // bursts, where the out-of-band wake fan-out (crash normalize dirt plus
-  // readers) inflates the first-round wake count far beyond the genuinely
-  // perturbed region and most woken peers reproduce their cached output
-  // verbatim at a fraction of a bare re-run's cost.
+  // is deliberately high: storm entry invalidates EVERY cache, so leaving
+  // it costs one all-live re-record round plus a ground-truth index
+  // rebuild -- worth it at bring-up (everyone genuinely woken, many storm
+  // rounds follow) but a net loss for mid-size churn bursts, where the
+  // out-of-band wake fan-out (crash normalize dirt plus readers) inflates
+  // the first-round wake count far beyond the genuinely perturbed region
+  // and most woken peers reproduce their cached output verbatim at a
+  // fraction of a bare re-run's cost.
   const bool was_bulk = bulk_round_;
   bulk_round_ = !opt_.paranoid_replay &&
                 (8 * woken > 7 * live || (bulk_round_ && 4 * woken > live));
@@ -294,29 +288,28 @@ void Engine::compute_skip_set() {
                bulk_round_ ? util::TraceKind::kStormEnter
                            : util::TraceKind::kStormExit});
   }
+  if (bulk_round_) {
+    // A storm round IS a full-scan round: run_range runs every peer bare and
+    // records nothing. Every cache goes stale at storm entry, so none may be
+    // replayed or skipped until a calm round re-records it; the wake flags
+    // are cleared so that consume() re-wakes exactly the owners whose
+    // digests this round moved, which the hysteresis above counts.
+    if (!was_bulk)
+      for (PeerCache& pc : cache_) pc.valid = false;
+    std::fill(wake_.begin(), wake_.end(), 0);
+    return;
+  }
   if (!skip_possible()) return;
   for (std::uint32_t o = 0; o < n; ++o)
     skip_[o] = net_.owner_alive(o) && cache_[o].valid && !wake_[o] ? 1 : 0;
-  // Lazy rule (2): in a calm round the referents of live runners are
-  // evicted AFTER the live runs, and only when the fresh output really
-  // dropped the op that referenced them (apply_deferred_evictions). Storm
-  // rounds keep the eager eviction -- they record no caches, so there is no
-  // fresh output to diff against.
-  lazy_evict_round_ = !bulk_round_;
-  // Evictions are DIRECT only -- each rule below clears the skip flag of the
-  // owners it names, and senders into those owners are demoted to boundary
-  // afterwards instead of being evicted transitively.
+  // Lazy rule (2): the referents of live runners are evicted AFTER the live
+  // runs, and only when the fresh output really dropped the op that
+  // referenced them (apply_deferred_evictions). Evictions are DIRECT only --
+  // each rule below clears the skip flag of the owners it names, and
+  // senders into those owners are demoted to boundary afterwards instead of
+  // being evicted transitively.
+  lazy_evict_round_ = true;
   const auto evict = [this](std::uint32_t d) { skip_[d] = 0; };
-  if (!lazy_evict_round_)
-    for (std::uint32_t o = 0; o < n; ++o) {
-      // Rule (2): `o` runs live this round. (An owner merely *evicted* from
-      // the skip set replays its cached ops verbatim and triggers nothing.)
-      // In lazy rounds this is deferred: the eviction is only needed if the
-      // fresh run stops re-sending the op, which run_range detects by
-      // diffing the fresh output against the cache.
-      if (net_.owner_alive(o) && (wake_[o] || !cache_[o].valid))
-        for (std::uint32_t d : cache_[o].op_owners) evict(d);
-    }
   for (std::uint32_t o : oob_owners_)
     if (!net_.owner_alive(o))  // departed peers: one-time rule (2) eviction
       for (std::uint32_t d : cache_[o].op_owners) evict(d);
@@ -354,17 +347,12 @@ void Engine::compute_skip_set() {
   }
   if (latency_installed_ && !latency_.trivial())
     for (std::uint32_t o = 0; o < n; ++o) {
-      PeerCache& pc = cache_[o];
+      const PeerCache& pc = cache_[o];
       if (!pc.valid || !net_.owner_alive(o)) continue;
-      if (pc.delay_memo_epoch != latency_epoch_) {
-        pc.has_nonzero_delay = !zero_delay_ops(o, pc.ops);
-        pc.delay_memo_epoch = latency_epoch_;
-      }
-      if (!pc.has_nonzero_delay) continue;
-      evict(o);
       const std::uint8_t src = datacenter_of(o);
       for (const DelayedOp& op : pc.ops)
         if (latency_.cls(src, datacenter_of(owner_of(op.target))).nonzero()) {
+          evict(o);
           evict(owner_of(op.target));
           evict(owner_of(op.payload));
         }
@@ -492,7 +480,8 @@ void Engine::run_range(std::size_t begin, std::size_t end,
                        std::vector<DelayedOp>& out, unsigned shard) {
   RuleActivity& act = shard_activity_[shard];
   RuleArena& arena = arenas_[shard];
-  const bool active = active_mode();
+  // A storm round is a full-scan round: no skip, no replay, no recording.
+  const bool active = active_mode() && !bulk_round_;
   // In latency rounds, each peer's contiguous op span is recorded as
   // (owner, count) so route_inflight() can recover the sender -- the op
   // shape itself carries only target and payload.
@@ -556,7 +545,7 @@ void Engine::run_range(std::size_t begin, std::size_t end,
     // recording until the comparison below decides whether to replace it.
     std::vector<LocalEdit>& record = shard_record_[shard];
     record.clear();
-    if (active && !bulk_round_) ctx.record = &record;
+    if (active) ctx.record = &record;
     Rules::run_all(ctx);
     act += ctx.activity;
     // Indices above ctx.max_index are dead after rule 1; publish clears
@@ -573,14 +562,6 @@ void Engine::run_range(std::size_t begin, std::size_t end,
     }
     shard_ran_[shard].push_back(owner);
     note_src();
-    if (active && bulk_round_) {
-      // Storm round: ran bare, nothing recorded. The stale cache must not
-      // be replayed (its op_owners stay behind for the skip closure's
-      // rule-(2) evictions until a calm round re-records).
-      pc->valid = false;
-      wake_[owner] = 0;  // re-woken by consume() iff the digests moved
-      continue;
-    }
     if (active) {
       const auto fresh_begin =
           out.begin() + static_cast<std::ptrdiff_t>(op_base);
@@ -592,46 +573,41 @@ void Engine::run_range(std::size_t begin, std::size_t end,
           record == pc->delta;
       pc->notes_fresh = !output_same;
       if (!output_same) {
-        if (lazy_evict_round_ && !pc->op_owners.empty()) {
+        if (lazy_evict_round_ && pc->valid && !pc->ops.empty()) {
           // Deferred rule (2): the fresh output changed, so some cached op
           // may no longer be re-sent -- collect the owners referenced by
           // the DROPPED ops only (set difference old \ fresh); a reference
           // the fresh run still emits keeps cancelling its partner, so that
-          // partner may rest. An invalidated cache (storm leftovers) has no
-          // comparable fresh/old pair: every old reference is collected.
+          // partner may rest. An invalid cache has nothing to diff: caches
+          // go invalid only at a storm entry, and until they re-record no
+          // owner is a skip candidate that an eviction could concern.
           auto& pend = shard_pending_evict_[shard];
-          if (!pc->valid) {
-            pend.insert(pend.end(), pc->op_owners.begin(),
-                        pc->op_owners.end());
-          } else {
-            // Fresh ops into an open-addressing set (load <= 1/2, empty
-            // marked by an invalid target), then one probe per cached op.
-            auto& set = shard_fresh_set_[shard];
-            const std::size_t fresh =
-                static_cast<std::size_t>(out.end() - fresh_begin);
-            std::size_t cap = 16;
-            while (cap < 2 * fresh) cap <<= 1;
-            const std::size_t mask = cap - 1;
-            set.assign(cap, DelayedOp{kInvalidSlot, EdgeKind::kUnmarked,
-                                      kInvalidSlot});
-            for (auto it = fresh_begin; it != out.end(); ++it) {
-              assert(it->target != kInvalidSlot);
-              std::size_t h = op_hash(*it) & mask;
-              while (set[h].target != kInvalidSlot && set[h] != *it)
-                h = (h + 1) & mask;
-              set[h] = *it;
-            }
-            for (const DelayedOp& op : pc->ops) {
-              std::size_t h = op_hash(op) & mask;
-              while (set[h].target != kInvalidSlot && set[h] != op)
-                h = (h + 1) & mask;
-              if (set[h].target != kInvalidSlot) continue;  // still sent
-              pend.push_back(owner_of(op.target));
-              pend.push_back(owner_of(op.payload));
-            }
+          // Fresh ops into an open-addressing set (load <= 1/2, empty
+          // marked by an invalid target), then one probe per cached op.
+          auto& set = shard_fresh_set_[shard];
+          const std::size_t fresh =
+              static_cast<std::size_t>(out.end() - fresh_begin);
+          std::size_t cap = 16;
+          while (cap < 2 * fresh) cap <<= 1;
+          const std::size_t mask = cap - 1;
+          set.assign(cap, DelayedOp{kInvalidSlot, EdgeKind::kUnmarked,
+                                    kInvalidSlot});
+          for (auto it = fresh_begin; it != out.end(); ++it) {
+            assert(it->target != kInvalidSlot);
+            std::size_t h = op_hash(*it) & mask;
+            while (set[h].target != kInvalidSlot && set[h] != *it)
+              h = (h + 1) & mask;
+            set[h] = *it;
+          }
+          for (const DelayedOp& op : pc->ops) {
+            std::size_t h = op_hash(op) & mask;
+            while (set[h].target != kInvalidSlot && set[h] != op)
+              h = (h + 1) & mask;
+            if (set[h].target != kInvalidSlot) continue;  // still sent
+            pend.push_back(owner_of(op.target));
+            pend.push_back(owner_of(op.payload));
           }
         }
-        pc->delay_memo_epoch = 0;  // ops changed: delay-class memo is stale
         assign_exact(pc->delta, record.begin(), record.end());
         assign_exact(pc->ops, fresh_begin, out.end());
         // Two owners per op, deduplicated in the shard's arena (the rules
@@ -965,28 +941,18 @@ RoundMetrics Engine::step() {
     // drops is harmless. Replayed deltas re-create edges whose entries
     // already exist. Mass-registration rounds skip this entirely in favor
     // of the post-commit ground-truth rebuild below.
-    // Each entry is registered at most once per index epoch: the per-cache
-    // memo vectors remember what this peer already pushed, so a peer that
-    // stays woken through a multi-round recovery pays the (shared, larger)
-    // index inserts only for dependencies it has not referenced before.
+    // Both indices are sorted-unique, so re-registering a known entry is a
+    // lookup that changes nothing.
     for (const auto& live : shard_live_)
       for (std::uint32_t o : live) {
-        PeerCache& pc = cache_[o];
+        const PeerCache& pc = cache_[o];
         if (!pc.notes_fresh) continue;  // identical output: all known
         for (const LocalEdit& e : pc.delta)
-          if (e.op == LocalEdit::Op::kAddEdge && owner_of(e.target) != o &&
-              util::insert_sorted_unique(pc.reg_read_targets,
-                                         owner_of(e.target)))
+          if (e.op == LocalEdit::Op::kAddEdge)
             net_.note_reader(owner_of(e.target), o);
         for (const DelayedOp& op : pc.ops)
-          if (util::insert_sorted_unique(
-                  pc.reg_op_pairs,
-                  (static_cast<std::uint64_t>(owner_of(op.target)) << 32) |
-                      owner_of(op.payload)))
-            net_.note_reader(owner_of(op.payload), owner_of(op.target));
-        for (std::uint32_t d : pc.op_owners)
-          if (util::insert_sorted_unique(pc.reg_op_senders, d))
-            note_op_sender(d, o);
+          net_.note_reader(owner_of(op.payload), owner_of(op.target));
+        for (std::uint32_t d : pc.op_owners) note_op_sender(d, o);
       }
   }
 
@@ -1204,7 +1170,7 @@ RoundMetrics Engine::publish_round(const RoundMetrics& mt) {
 std::vector<MemoryPart> Engine::memory_parts() const {
   MemoryPart headers{"cache.headers"}, delta{"cache.delta"}, ops{"cache.ops"},
       op_owners{"cache.op_owners"}, rl_rr{"cache.rl_rr"},
-      reg{"cache.reg_memos"}, senders{"engine.op_senders"},
+      senders{"engine.op_senders"},
       owner_arrays{"engine.owner_arrays"}, inflight{"engine.inflight"},
       scratch{"engine.round_scratch"};
   headers.add(cache_);
@@ -1214,9 +1180,6 @@ std::vector<MemoryPart> Engine::memory_parts() const {
     op_owners.add(pc.op_owners);
     rl_rr.add(pc.rl);
     rl_rr.add(pc.rr);
-    reg.add(pc.reg_read_targets);
-    reg.add(pc.reg_op_pairs);
-    reg.add(pc.reg_op_senders);
   }
   senders.add(op_senders_);
   for (const auto& v : op_senders_) senders.add(v);
@@ -1270,9 +1233,9 @@ std::vector<MemoryPart> Engine::memory_parts() const {
     scratch.add(pc.rl);
     scratch.add(pc.rr);
   }
-  std::vector<MemoryPart> parts = {headers, delta,        ops,      op_owners,
-                                   rl_rr,   reg,          senders,  owner_arrays,
-                                   inflight, scratch};
+  std::vector<MemoryPart> parts = {headers, delta,        ops,
+                                   op_owners, rl_rr,      senders,
+                                   owner_arrays, inflight, scratch};
   for (const MemoryPart& p : net_.memory_parts()) parts.push_back(p);
   return parts;
 }

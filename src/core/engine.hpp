@@ -315,7 +315,6 @@ class Engine {
   void set_latency_model(LatencyModel model) {
     latency_ = std::move(model);
     latency_installed_ = true;
-    ++latency_epoch_;
     ++inputs_epoch_;
   }
   [[nodiscard]] const LatencyModel& latency_model() const noexcept {
@@ -331,7 +330,6 @@ class Engine {
     dc_of_owner_ = std::move(dc_of_owner);
     dc_max_ = 0;
     for (const std::uint8_t d : dc_of_owner_) dc_max_ = std::max(dc_max_, d);
-    ++latency_epoch_;
     ++inputs_epoch_;
   }
   [[nodiscard]] std::uint8_t datacenter_of(std::uint32_t owner) const noexcept {
@@ -393,14 +391,15 @@ class Engine {
 
   /// The engine's memory by part (bench instrumentation, DESIGN.md §6.8):
   /// the recording cache by field ("cache.headers", "cache.delta",
-  /// "cache.ops", "cache.op_owners", "cache.rl_rr", "cache.reg_memos"), the
+  /// "cache.ops", "cache.op_owners", "cache.rl_rr"), the
   /// op-sender index, the per-owner scheduler arrays, the latency queue and
   /// the round scratch, followed by Network::memory_parts().
   [[nodiscard]] std::vector<MemoryPart> memory_parts() const;
 
  private:
   /// Cached phase output of one peer's last live run; valid (replayable)
-  /// until a slot in the peer's read set changes.
+  /// until a slot in the peer's read set changes. Storm entry invalidates
+  /// every cache at once (storm rounds run bare, like the full scan).
   struct PeerCache {
     bool valid = false;
     std::uint32_t max_index = 0;
@@ -419,23 +418,6 @@ class Engine {
     /// recovery -- skips the registration, whose entries already exist.
     bool notes_fresh = true;
     RuleActivity activity;
-    /// Index entries already pushed for this peer in the current index epoch
-    /// (since the last rebuild_flow_indices). The reader/op-sender indices
-    /// are append-only over-approximations, so each entry needs registering
-    /// at most once per epoch -- a peer that stays woken through a long
-    /// recovery re-records its cache every round but only pays the index
-    /// inserts for genuinely new dependencies. Cleared at an epoch rebuild
-    /// (whose ground-truth derivation re-covers the surviving entries).
-    std::vector<std::uint32_t> reg_read_targets;  // note_reader(t, self)
-    std::vector<std::uint64_t> reg_op_pairs;  // (target_owner<<32)|payload
-    std::vector<std::uint32_t> reg_op_senders;  // note_op_sender(d, self)
-    /// Memo for the skip rule-(4) scan (DESIGN.md §8.2): whether any cached
-    /// op travels on a nonzero delay class, valid while the epoch matches
-    /// Engine::latency_epoch_. Reset to 0 (stale) when the ops re-record;
-    /// recomputed lazily by compute_skip_set, so a long latency window costs
-    /// one scan per cache recording instead of one per round.
-    std::uint64_t delay_memo_epoch = 0;
-    bool has_nonzero_delay = false;
   };
 
   Network net_;
@@ -461,9 +443,6 @@ class Engine {
   /// flattened). A trivial model with an empty queue reverts to the plain
   /// pipeline -- no span recording, no routing walk.
   bool latency_round_ = false;
-  /// Bumped by set_latency_model / assign_datacenters; invalidates the
-  /// per-cache delay-class memos.
-  std::uint64_t latency_epoch_ = 1;
   std::vector<std::uint8_t> dc_of_owner_;  // per owner; absent = dc 0
   std::uint8_t dc_max_ = 0;                // largest assigned datacenter id
   std::deque<std::vector<DelayedOp>> inflight_;
@@ -536,10 +515,10 @@ class Engine {
   // reverse of PeerCache::op_owners). Append-only over-approximation like
   // the network's reader index; rebuilt from scratch at an epoch reset.
   std::vector<std::vector<std::uint32_t>> op_senders_;
-  /// Translation-closure lazy rule (2) (DESIGN.md §6.6): in a calm round,
-  /// owners referenced by a live runner's cached ops are NOT evicted up
-  /// front -- whether the fresh run keeps re-sending each op is only
-  /// knowable after it ran. run_range diffs the fresh output
+  /// Translation-closure lazy rule (2) (DESIGN.md §6.6): in a round that
+  /// builds a skip set, owners referenced by a live runner's cached ops are
+  /// NOT evicted up front -- whether the fresh run keeps re-sending each op
+  /// is only knowable after it ran. run_range diffs the fresh output
   /// against the cache and collects the owners referenced by *dropped* ops
   /// per shard; apply_deferred_evictions() then replays the still-skipped
   /// ones in the same round (sound: a round's own-slot edits and emissions
@@ -559,11 +538,12 @@ class Engine {
   std::size_t deferred_replays_ = 0;
   std::size_t deferred_boundary_ = 0;
   std::size_t deferred_unboundary_ = 0;
-  /// Storm mode, re-decided every round: when a majority of live peers is
+  /// Storm mode, re-decided every round: when nearly every live peer is
   /// digest-woken (mass churn / early convergence), recording caches and
-  /// registering index entries costs more than it can ever save, so live
-  /// runs execute bare -- like a full-scan round -- and invalidate their
-  /// caches; the first calm round re-records them and skip re-engages.
+  /// registering index entries costs more than it can ever save, so the
+  /// round IS a full-scan round: run_range runs every peer bare. Storm entry
+  /// invalidates every cache; the first calm round re-records them, the
+  /// indices are rebuilt once after it, and skip re-engages.
   bool bulk_round_ = false;
   /// Mass-registration rounds (the all-live round after an epoch reset, the
   /// re-recording round after a storm): nearly every peer records a fresh

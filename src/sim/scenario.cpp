@@ -13,6 +13,7 @@
 #include "ident/ring_pos.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/profiler.hpp"
 #include "util/trace.hpp"
 
 namespace rechord::sim {
@@ -173,6 +174,10 @@ class ScenarioRunner {
     metrics_.counter_set("req.completions_missed", out_.completions_missed);
     metrics_.counter_set("cap.mono_ledger.hits",
                          out_.requests.mono_ledger_pruned);
+    std::uint64_t profiler_dropped = 0;
+    for (const auto& [phase, st] : util::Profiler::instance().snapshot())
+      profiler_dropped += st.samples_dropped;
+    metrics_.counter_set("cap.profiler_samples.hits", profiler_dropped);
     out_.metrics = metrics_.snapshot();
     engine_.set_round_observer(nullptr);
     return std::move(out_);

@@ -74,6 +74,7 @@ std::vector<std::pair<Phase, PhaseStats>> Profiler::snapshot() const {
       st.count += pb.count;
       st.total_ns += pb.total_ns;
       st.max_ns = std::max(st.max_ns, pb.max_ns);
+      st.samples_dropped += pb.count - pb.samples.size();
       samples.insert(samples.end(), pb.samples.begin(), pb.samples.end());
     }
     if (st.count == 0) continue;

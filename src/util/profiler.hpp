@@ -2,8 +2,9 @@
 // Scoped wall-clock phase profiler (DESIGN.md §11). Each instrumented span
 // of the round pipeline opens a ScopedPhase; the destructor records the
 // elapsed nanoseconds into a per-thread accumulator (count / total / max
-// plus a bounded sample ring for p50/p99). Aggregation across threads
-// happens only at snapshot time.
+// plus a bounded sample ring for p50/p99; the snapshot counts the samples
+// the ring overwrote). Aggregation across threads happens only at snapshot
+// time.
 //
 // Determinism contract: the profiler only READS clocks and writes into its
 // own buffers -- it never feeds a value back into the simulation, so
@@ -48,11 +49,18 @@ struct PhaseStats {
   std::uint64_t max_ns = 0;
   double p50_ns = 0.0;
   double p99_ns = 0.0;
+  /// Samples that fell out of a full ring (Profiler::kSampleCap per thread
+  /// and phase): p50/p99 describe only the last kSampleCap spans of each
+  /// thread, while count/total/max cover them all.
+  std::uint64_t samples_dropped = 0;
 };
 
 /// Process-wide profiler. Disabled by default.
 class Profiler {
  public:
+  /// Per-thread, per-phase sample ring size behind p50/p99.
+  static constexpr std::size_t kSampleCap = 1 << 14;
+
   [[nodiscard]] static Profiler& instance() noexcept;
 
   void set_enabled(bool on) noexcept {
@@ -91,8 +99,6 @@ class Profiler {
   struct ThreadBuf {
     PhaseBuf phases[static_cast<std::size_t>(Phase::kCount)];
   };
-  static constexpr std::size_t kSampleCap = 1 << 14;
-
   ThreadBuf& local_buf();
 
   std::atomic<bool> enabled_{false};

@@ -232,6 +232,24 @@ TEST(ProfilerTest, ScopedPhaseRecordsOnlyWhenEnabled) {
   EXPECT_EQ(snap[0].second.count, 1U);
 }
 
+// The p50/p99 sample ring is a cap: the sample it overwrites is counted.
+TEST(ProfilerTest, CountsSamplesDroppedFromTheFullRing) {
+  const ObsSingletonGuard guard;
+  auto& prof = util::Profiler::instance();
+  for (std::size_t i = 0; i <= util::Profiler::kSampleCap; ++i)
+    prof.record(Phase::kCommit, 1000 + i);
+  auto snap = prof.snapshot();
+  ASSERT_EQ(snap.size(), 1U);
+  EXPECT_EQ(snap[0].second.count, util::Profiler::kSampleCap + 1);
+  EXPECT_EQ(snap[0].second.samples_dropped, 1U);
+  EXPECT_EQ(snap[0].second.max_ns, 1000 + util::Profiler::kSampleCap);
+  prof.reset();
+  prof.record(Phase::kCommit, 1);
+  snap = prof.snapshot();
+  ASSERT_EQ(snap.size(), 1U);
+  EXPECT_EQ(snap[0].second.samples_dropped, 0U);
+}
+
 TEST(ProfilerTest, AttributesTheRoundPipelineToNamedPhases) {
   const ObsSingletonGuard guard;
   auto& prof = util::Profiler::instance();
@@ -502,6 +520,8 @@ TEST(ObservabilityMetrics, ScenarioOutcomeCarriesTheRegistrySnapshot) {
   ASSERT_TRUE(out.metrics.count("sched.live_peer_rounds"));
   EXPECT_EQ(out.metrics.at("sched.live_peer_rounds").value,
             static_cast<double>(out.live_peer_rounds));
+  ASSERT_TRUE(out.metrics.count("cap.profiler_samples.hits"));
+  EXPECT_EQ(out.metrics.at("cap.profiler_samples.hits").value, 0.0);
   ASSERT_TRUE(out.metrics.count("sched.active_per_round"));
   EXPECT_EQ(out.metrics.at("sched.active_per_round").kind,
             MetricKind::kHistogram);

@@ -21,6 +21,7 @@
 #include "gen/topologies.hpp"
 #include "net/request_engine.hpp"
 #include "test_util.hpp"
+#include "util/trace.hpp"
 
 namespace rechord::core {
 namespace {
@@ -280,13 +281,65 @@ TEST(Scheduler, SkipSetReEngagesAfterChurn) {
   }
 }
 
-// Storm (bulk) rounds run live peers bare -- no cache recording, no
-// incremental index registration -- so the reader/op-sender indices must be
-// rebuilt at the storm->calm transition before anyone goes quiescent again.
-// This drives a mass crash WITHOUT reset_change_tracking (a reset would
-// rebuild the indices and mask a registration hole), keeps lockstep with
-// the full scan through the whole recovery and well past re-stabilization,
-// and checks that the storm path actually ran and that skip re-engaged.
+// What storm_lockstep saw after a perturbation.
+struct StormRun {
+  std::size_t storm_rounds = 0, all_skipped_rounds = 0, max_active = 0;
+  bool storm_open = false;  // storm-enter traced without a storm-exit
+};
+
+// Steps `active` and `full` in lockstep for `rounds` rounds, asserting equal
+// fingerprints after every round. Each storm round -- the round that traces
+// storm-enter and every round until the one that traces storm-exit -- must
+// do exactly the full scan's work: nothing replayed, skipped or emit-only,
+// and the same live peers, rule activity and change verdict.
+StormRun storm_lockstep(Engine& active, Engine& full, int rounds,
+                        const std::string& label) {
+  util::Tracer& tracer = util::Tracer::instance();
+  tracer.set_enabled(true);
+  StormRun run;
+  for (int r = 0; r < rounds; ++r) {
+    tracer.clear();
+    const auto mt = active.step();
+    const auto mf = full.step();
+    if (active.network().state_fingerprint() !=
+        full.network().state_fingerprint()) {
+      ADD_FAILURE() << label << " round " << r << ": fingerprints diverged";
+      break;
+    }
+    tracer.for_each([&run](const util::TraceEvent& e) {
+      if (e.kind == util::TraceKind::kStormEnter) run.storm_open = true;
+      if (e.kind == util::TraceKind::kStormExit) run.storm_open = false;
+    });
+    if (run.storm_open) {
+      ++run.storm_rounds;
+      EXPECT_EQ(mt.replayed_peers, 0U) << label << " round " << r;
+      EXPECT_EQ(mt.skipped_peers, 0U) << label << " round " << r;
+      EXPECT_EQ(mt.boundary_peers, 0U) << label << " round " << r;
+      EXPECT_EQ(mt.active_peers, mf.active_peers) << label << " round " << r;
+      EXPECT_EQ(mt.changed, mf.changed) << label << " round " << r;
+      EXPECT_TRUE(active.last_activity() == full.last_activity())
+          << label << " round " << r;
+    }
+    run.max_active = std::max(run.max_active, mt.active_peers);
+    if (!mt.changed &&
+        mt.skipped_peers == active.network().alive_owner_count())
+      ++run.all_skipped_rounds;
+  }
+  tracer.set_enabled(false);
+  tracer.clear();
+  return run;
+}
+
+// Storm (bulk) rounds are full-scan rounds -- no skip, no replay, no cache
+// recording, no incremental index registration -- so the reader/op-sender
+// indices must be rebuilt at the storm->calm transition before anyone goes
+// quiescent again. This drives crashes WITHOUT reset_change_tracking (a
+// reset would rebuild the indices and mask a registration hole), keeps
+// lockstep with the full scan through the whole recovery and well past
+// re-stabilization, and checks that the storm path actually ran, that each
+// storm round did exactly the full scan's work, and that skip re-engaged.
+// The materialized n=400 fixpoint enters its storm with some peers neither
+// woken nor stale -- the case where a storm round could still replay or skip.
 TEST(Scheduler, StormWithoutResetStaysBitIdentical) {
   for (std::uint64_t seed : {41ULL, 42ULL}) {
     Engine active(random_net(90, seed, /*scrambled=*/false), {});
@@ -306,24 +359,28 @@ TEST(Scheduler, StormWithoutResetStaysBitIdentical) {
       crash(active.network(), pick);
       crash(full.network(), pick);
     }
-    std::size_t max_active = 0, all_skipped_rounds = 0;
-    for (int r = 0; r < 250; ++r) {
-      const auto mt = active.step();
-      full.step();
-      ASSERT_EQ(active.network().state_fingerprint(),
-                full.network().state_fingerprint())
-          << "seed " << seed << " round " << r;
-      max_active = std::max(max_active, mt.active_peers);
-      if (!mt.changed &&
-          mt.skipped_peers == active.network().alive_owner_count())
-        ++all_skipped_rounds;
-    }
-    // The burst must actually have driven a storm (majority live) and the
-    // scheduler must have found its way back to resting rounds.
-    EXPECT_GT(max_active, active.network().alive_owner_count() / 2)
-        << "seed " << seed;
-    EXPECT_GT(all_skipped_rounds, 0U) << "seed " << seed;
+    const std::string label = "seed " + std::to_string(seed);
+    const StormRun run = storm_lockstep(active, full, 250, label);
+    EXPECT_GT(run.storm_rounds, 0U) << label;
+    EXPECT_FALSE(run.storm_open) << label;
+    EXPECT_GT(run.max_active, active.network().alive_owner_count() / 2)
+        << label;
+    EXPECT_GT(run.all_skipped_rounds, 0U) << label;
   }
+  Engine active(bench::stable_network(400, 1), {});
+  Engine full(bench::stable_network(400, 1), {.full_scan = true});
+  for (int r = 0; r < 3; ++r) {  // recording step, then certified rounds
+    active.step();
+    full.step();
+  }
+  const auto owners = active.network().live_owners();
+  const std::uint32_t pick = owners[util::Rng(7).below(owners.size())];
+  crash(active.network(), pick);
+  crash(full.network(), pick);
+  const StormRun run = storm_lockstep(active, full, 40, "n=400 fixpoint");
+  EXPECT_GT(run.storm_rounds, 0U);
+  EXPECT_FALSE(run.storm_open);
+  EXPECT_GT(run.all_skipped_rounds, 0U);
 }
 
 // Graceful-leave schedules, specifically: leave_gracefully is the one churn
