@@ -1,4 +1,4 @@
-#include "chord/ideal_chord.hpp"
+#include "baselines/ideal_chord.hpp"
 
 #include <algorithm>
 #include <cassert>

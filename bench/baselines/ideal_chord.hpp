@@ -10,8 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "baselines/projection.hpp"
 #include "core/network.hpp"
-#include "core/projection.hpp"
 
 namespace rechord::chord {
 

@@ -1,4 +1,4 @@
-#include "core/projection.hpp"
+#include "baselines/projection.hpp"
 
 #include <algorithm>
 

@@ -2,7 +2,9 @@
 // The Re-Chord network over the REAL nodes (paper §2.2):
 //   E_ReChord = { (u,v) ∈ V_r^2 : ∃i, (u_i, v) ∈ E_u ∪ E_r }.
 // Virtual nodes and connection edges exist only for self-stabilization; the
-// projection is the overlay that applications (routing, Chord emulation) use.
+// projection is the overlay Fact 2.1 compares against ideal Chord. A
+// baseline view for bench_claims and the tests: the system itself routes
+// live (net::RequestEngine) and places keys by ring order (dht::RoutingView).
 
 #include <cstdint>
 #include <vector>

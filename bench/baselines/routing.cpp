@@ -1,4 +1,4 @@
-#include "chord/routing.hpp"
+#include "baselines/routing.hpp"
 
 #include <cassert>
 

@@ -1,8 +1,8 @@
-#include "chord/stabilizer.hpp"
+#include "baselines/stabilizer.hpp"
 
 #include <algorithm>
 
-#include "chord/ideal_chord.hpp"
+#include "baselines/ideal_chord.hpp"
 #include "ident/ring_pos.hpp"
 
 namespace rechord::chord {

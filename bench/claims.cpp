@@ -24,11 +24,11 @@
 #include <variant>
 #include <vector>
 
-#include "chord/ideal_chord.hpp"
-#include "chord/routing.hpp"
-#include "chord/stabilizer.hpp"
+#include "baselines/ideal_chord.hpp"
+#include "baselines/projection.hpp"
+#include "baselines/routing.hpp"
+#include "baselines/stabilizer.hpp"
 #include "core/convergence.hpp"
-#include "core/projection.hpp"
 #include "gen/topologies.hpp"
 #include "sim/scenario.hpp"
 #include "util/stats.hpp"

@@ -1,8 +1,7 @@
 #pragma once
-// Shared plumbing for the benches: JSON-lines emission, a wall-clock timer,
-// the exact fixpoint materializer and the banner. (The paper's claims live
-// in bench/claims.cpp, the engine's own costs in bench/perf.cpp; both take
-// no flags.)
+// Shared plumbing for the benches: JSON-lines emission, a wall-clock timer
+// and the banner. (The paper's claims live in bench/claims.cpp, the engine's
+// own costs in bench/perf.cpp; both take no flags.)
 
 #include <chrono>
 #include <cstdint>
@@ -13,8 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/spec.hpp"
-#include "gen/topologies.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -89,29 +86,6 @@ class WallTimer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
-
-/// Materializes the protocol's exact fixpoint state for n random peers
-/// directly from the StableSpec (no protocol execution) -- the steady-state
-/// workload of bench/perf. Release, 4-vCPU 2.1 GHz host: ~0.45 s at
-/// n = 10k and ~3.2 s at n = 50k (spec ~0.13 s / ~0.95 s of that; the rest
-/// is the network and its 2M / 14M connection-edge inserts).
-inline core::Network stable_network(std::size_t n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  const auto ids = gen::random_ids(rng, n);
-  core::Network net{std::span<const core::RingPos>(ids)};
-  const auto spec = core::StableSpec::compute(net);
-  for (core::Slot s : spec.nodes_in_order()) net.set_alive(s, true);
-  for (core::Slot s : spec.nodes_in_order()) {
-    for (core::Slot t : spec.eu(s))
-      net.add_edge(s, core::EdgeKind::kUnmarked, t);
-    for (core::Slot t : spec.er(s)) net.add_edge(s, core::EdgeKind::kRing, t);
-    for (core::Slot t : spec.ec(s))
-      net.add_edge(s, core::EdgeKind::kConnection, t);
-    net.set_rl(s, spec.rl(s));
-    net.set_rr(s, spec.rr(s));
-  }
-  return net;
-}
 
 inline void banner(const char* title, const char* paper_ref) {
   std::printf("=====================================================\n");

@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "common.hpp"
 #include "core/convergence.hpp"
 #include "core/engine.hpp"
 #include "core/spec.hpp"
@@ -55,7 +54,7 @@ BENCHMARK(BM_RoundAtFixpoint)->Arg(16)->Arg(64)->Arg(256);
 // the same round.
 void BM_FullScanRoundAtFixpoint(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  core::Engine engine(bench::stable_network(n, 42), {.full_scan = true});
+  core::Engine engine(core::stable_network(n, 42), {.full_scan = true});
   for (auto _ : state) benchmark::DoNotOptimize(engine.step());
 }
 BENCHMARK(BM_FullScanRoundAtFixpoint)

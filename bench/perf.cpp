@@ -44,6 +44,8 @@
 #include "common.hpp"
 #include "core/churn.hpp"
 #include "core/engine.hpp"
+#include "core/spec.hpp"
+#include "gen/topologies.hpp"
 #include "net/request_engine.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -484,17 +486,17 @@ void run_latency(const core::Network& base, std::size_t n) {
 int main() {
   // One materialized fixpoint per n, copied into every engine that starts
   // from it.
-  const core::Network fix1k = bench::stable_network(1000, kSeed);
+  const core::Network fix1k = core::stable_network(1000, kSeed);
   run_steady(fix1k, 1000);
   {
-    const core::Network fix10k = bench::stable_network(10000, kSeed);
+    const core::Network fix10k = core::stable_network(10000, kSeed);
     const double full_ns = run_steady(fix10k, 10000);
     for (const std::size_t k : {1, 10, 100})
       run_crash(fix10k, 10000, k, full_ns);
   }
   run_tail(1000);
-  run_throughput(bench::stable_network(20000, kSeed), 20000);
-  run_verify(bench::stable_network(2000, kSeed), 2000);
+  run_throughput(core::stable_network(20000, kSeed), 20000);
+  run_verify(core::stable_network(2000, kSeed), 2000);
   run_latency(fix1k, 1000);
   return all_ok ? 0 : 1;
 }

@@ -7,9 +7,9 @@
 
 #include <cstdio>
 
-#include "chord/ideal_chord.hpp"
+#include "baselines/ideal_chord.hpp"
+#include "baselines/projection.hpp"
 #include "core/convergence.hpp"
-#include "core/projection.hpp"
 #include "gen/topologies.hpp"
 #include "util/cli.hpp"
 

@@ -960,15 +960,10 @@ RoundMetrics Engine::step() {
   // meanwhile-deleted virtual node is absorbed by the owning peer's u_m (see
   // DESIGN.md: ghost re-homing); a message to or from a departed peer is
   // dropped. Set insertion into the sorted edge sets is commutative, so the
-  // committed state is independent of delivery order -- which admits two
-  // pipelines with identical results:
-  //   * loss-free (hot path): apply each op directly, no canonical ordering
-  //     needed. Measured fastest -- the per-(target,kind) groups are tiny, so
-  //     the O(ops log ops) sorts cost more than they save.
-  //   * lossy: sort + dedup for the deterministic per-index drop coins, then
-  //     group by (target, kind) and bulk-merge each group in one pass.
-  // Emit-only owners only exist in skipping rounds, which are loss-free and
-  // cut-free, so their ops are delivered by the loss-free pipeline alone.
+  // committed state is independent of delivery order and one loop delivers
+  // every round. A lossy round first sorts and dedups ops_: its drop coins
+  // are drawn per index, so the index must be canonical. Emit-only owners
+  // only exist in skipping rounds, which are loss-free and cut-free.
   {
   util::ScopedPhase commit_span(util::Phase::kCommit);
   auto resolve = [this](Slot s) -> Slot {
@@ -983,93 +978,58 @@ RoundMetrics Engine::step() {
     if (target == kInvalidSlot || payload == kInvalidSlot) return;
     net_.add_edge(target, op.kind, payload);
   };
-  if (opt_.message_loss <= 0.0) {
-    // Look-ahead: at scale every delivery misses twice, on the target's
-    // set header and then on its elements. Fetch the header kHeaderAhead
-    // ops early and the elements kDataAhead ops early, once the header is
-    // in cache. A prefetch is only a hint: the state is unaffected.
-    constexpr std::size_t kHeaderAhead = 16, kDataAhead = 8;
-    for (std::size_t i = 0; i < ops_.size(); ++i) {
-      if (i + kHeaderAhead < ops_.size())
-        net_.prefetch_set_header(ops_[i + kHeaderAhead].target,
-                                 ops_[i + kHeaderAhead].kind);
-      if (i + kDataAhead < ops_.size())
-        net_.prefetch_set_data(ops_[i + kDataAhead].target,
-                               ops_[i + kDataAhead].kind);
-      const DelayedOp& op = ops_[i];
-      if (partition_active_ && partition_cut(op.target, op.payload)) {
-        ++partition_dropped_;
-        continue;
-      }
-      deliver(op);
-    }
-    // Emit-only delivery (DESIGN.md §6.6), filtered per op. An owner the
-    // deferred pass replayed lost its boundary flag and already emitted
-    // through ops_. Of the rest, an op whose target owner and payload owner
-    // both still rest is a duplicate insertion -- the same argument that lets
-    // a fully skipped peer's ops be omitted -- and a duplicate add is a
-    // no-op (Network::add_edge), so it is not delivered at all.
-    assert(!partition_active_ ||
-           std::all_of(shard_emit_only_.begin(), shard_emit_only_.end(),
-                       [](const auto& v) { return v.empty(); }));
-    for (const auto& emit_only : shard_emit_only_)
-      for (const std::uint32_t u : emit_only) {
-        if (!boundary_[u]) continue;
-        assert(!latency_round_ || zero_delay_ops(u, cache_[u].ops));
-        for (const DelayedOp& op : cache_[u].ops) {
-          if (skip_[owner_of(op.target)] && skip_[owner_of(op.payload)]) {
-            assert(resolve(op.target) == resolve(op.payload) ||
-                   net_.has_edge(resolve(op.target), op.kind,
-                                 resolve(op.payload)));
-            continue;
-          }
-          deliver(op);
-        }
-      }
-  } else {
+  const bool lossy = opt_.message_loss > 0.0;
+  if (lossy) {
     std::sort(ops_.begin(), ops_.end());
     ops_.erase(std::unique(ops_.begin(), ops_.end()), ops_.end());
-    resolved_.clear();
-    for (std::size_t i = 0; i < ops_.size(); ++i) {
-      if (partition_active_ && partition_cut(ops_[i].target, ops_[i].payload)) {
-        ++partition_dropped_;
-        continue;
-      }
-      if (opt_.message_loss > 0.0 &&
-          fault_coin(opt_.fault_seed ^ 0xD70Full, round_, i,
-                     opt_.message_loss)) {
-        ++dropped_;
-        continue;
-      }
-      const Slot target = resolve(ops_[i].target);
-      const Slot payload = resolve(ops_[i].payload);
-      if (target == kInvalidSlot || payload == kInvalidSlot) continue;
-      resolved_.push_back({target, ops_[i].kind, payload});
-    }
-    // Batched delivery: group by (target, kind) and merge each group into
-    // the sorted edge set in a single pass. Payloads are pre-sorted by the
-    // network order so the merge input is ordered.
-    std::sort(resolved_.begin(), resolved_.end(),
-              [this](const DelayedOp& a, const DelayedOp& b) {
-                if (a.target != b.target) return a.target < b.target;
-                if (a.kind != b.kind)
-                  return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-                return net_.order_key(a.payload) < net_.order_key(b.payload);
-              });
-    for (std::size_t i = 0; i < resolved_.size();) {
-      const Slot target = resolved_[i].target;
-      const EdgeKind kind = resolved_[i].kind;
-      payload_buf_.clear();
-      for (; i < resolved_.size() && resolved_[i].target == target &&
-             resolved_[i].kind == kind;
-           ++i) {
-        const Slot p = resolved_[i].payload;
-        if (payload_buf_.empty() || payload_buf_.back() != p)
-          payload_buf_.push_back(p);
-      }
-      net_.add_edges_bulk(target, kind, payload_buf_);
-    }
   }
+  // Look-ahead: at scale every delivery misses twice, on the target's set
+  // header and then on its elements. Fetch the header kHeaderAhead ops
+  // early and the elements kDataAhead ops early, once the header is in
+  // cache. A prefetch is only a hint: the state is unaffected.
+  constexpr std::size_t kHeaderAhead = 16, kDataAhead = 8;
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    if (i + kHeaderAhead < ops_.size())
+      net_.prefetch_set_header(ops_[i + kHeaderAhead].target,
+                               ops_[i + kHeaderAhead].kind);
+    if (i + kDataAhead < ops_.size())
+      net_.prefetch_set_data(ops_[i + kDataAhead].target,
+                             ops_[i + kDataAhead].kind);
+    const DelayedOp& op = ops_[i];
+    if (partition_active_ && partition_cut(op.target, op.payload)) {
+      ++partition_dropped_;
+      continue;
+    }
+    if (lossy && fault_coin(opt_.fault_seed ^ 0xD70Full, round_, i,
+                            opt_.message_loss)) {
+      ++dropped_;
+      continue;
+    }
+    deliver(op);
+  }
+  // Emit-only delivery (DESIGN.md §6.6), filtered per op. An owner the
+  // deferred pass replayed lost its boundary flag and already emitted
+  // through ops_. Of the rest, an op whose target owner and payload owner
+  // both still rest is a duplicate insertion -- the same argument that lets
+  // a fully skipped peer's ops be omitted -- and a duplicate add is a no-op
+  // (Network::add_edge), so it is not delivered at all.
+  assert((!partition_active_ && !lossy) ||
+         std::all_of(shard_emit_only_.begin(), shard_emit_only_.end(),
+                     [](const auto& v) { return v.empty(); }));
+  for (const auto& emit_only : shard_emit_only_)
+    for (const std::uint32_t u : emit_only) {
+      if (!boundary_[u]) continue;
+      assert(!latency_round_ || zero_delay_ops(u, cache_[u].ops));
+      for (const DelayedOp& op : cache_[u].ops) {
+        if (skip_[owner_of(op.target)] && skip_[owner_of(op.payload)]) {
+          assert(resolve(op.target) == resolve(op.payload) ||
+                 net_.has_edge(resolve(op.target), op.kind,
+                               resolve(op.payload)));
+          continue;
+        }
+        deliver(op);
+      }
+    }
   }
   {
   util::ScopedPhase publish_span(util::Phase::kPublishNormalize);
@@ -1147,7 +1107,7 @@ RoundMetrics Engine::step() {
     // largest round so far, the all-live recording round at a large
     // fixpoint -- would sit idle until the next perturbation: release them.
     // The next round that emits regrows them.
-    for (std::vector<DelayedOp>* v : {&ops_, &resolved_, &route_buf_}) {
+    for (std::vector<DelayedOp>* v : {&ops_, &route_buf_}) {
       v->clear();
       v->shrink_to_fit();
     }
@@ -1198,8 +1158,6 @@ std::vector<MemoryPart> Engine::memory_parts() const {
   };
   scratch.add(owners_);
   scratch.add(ops_);
-  scratch.add(resolved_);
-  scratch.add(payload_buf_);
   scratch.add(route_buf_);
   scratch.add(rl_next_);
   scratch.add(rr_next_);

@@ -488,8 +488,6 @@ class Engine {
   // allocates nothing (capacity persists between calls).
   std::vector<std::uint32_t> owners_;
   std::vector<DelayedOp> ops_;
-  std::vector<DelayedOp> resolved_;
-  std::vector<Slot> payload_buf_;
   std::vector<Slot> rl_next_, rr_next_;
   std::vector<RuleActivity> shard_activity_;
   // Op queues of shards 1..T-1 (shard 0 emits into ops_ directly).

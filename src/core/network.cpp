@@ -122,52 +122,6 @@ bool Network::add_edge(Slot s, EdgeKind k, Slot target) {
   return true;
 }
 
-std::size_t Network::add_edges_bulk(Slot s, EdgeKind k,
-                                    std::span<const Slot> targets) {
-  if (targets.empty()) return 0;
-  if (targets.size() == 1) return add_edge(s, k, targets[0]) ? 1 : 0;
-  auto& set = sets_[static_cast<std::size_t>(k)][s];
-  auto key_lt = [this](Slot a, Slot b) { return order_key(a) < order_key(b); };
-  merge_buf_.clear();
-  merge_buf_.reserve(set.size() + targets.size());
-  std::size_t added = 0;
-  bool dead_target = false;
-  std::size_t i = 0, j = 0;
-  while (i < set.size() && j < targets.size()) {
-    const Slot t = targets[j];
-    if (t == s) {
-      ++j;
-    } else if (key_lt(set[i], t)) {
-      merge_buf_.push_back(set[i++]);
-    } else if (key_lt(t, set[i])) {
-      merge_buf_.push_back(t);
-      if (!alive_[t]) dead_target = true;
-      ++added;
-      ++j;
-    } else {  // equal order keys => same slot: duplicate of an existing edge
-      merge_buf_.push_back(set[i++]);
-      ++j;
-    }
-  }
-  for (; i < set.size(); ++i) merge_buf_.push_back(set[i]);
-  for (; j < targets.size(); ++j) {
-    const Slot t = targets[j];
-    if (t == s) continue;
-    merge_buf_.push_back(t);
-    if (!alive_[t]) dead_target = true;
-    ++added;
-  }
-  // All duplicates: same no-dirty contract as add_edge's duplicate return.
-  if (added == 0) return 0;
-  set.assign(merge_buf_.begin(), merge_buf_.end());
-  if (alive_[s])
-    edge_live_[static_cast<std::size_t>(k)].add(
-        static_cast<std::int64_t>(added));
-  if (!alive_[s] || dead_target) dead_refs_.store(1);
-  mark_dirty(s);
-  return added;
-}
-
 bool Network::remove_edge(Slot s, EdgeKind k, Slot target) {
   auto& set = sets_[static_cast<std::size_t>(k)][s];
   const auto key = order_key(target);

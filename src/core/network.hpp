@@ -142,12 +142,6 @@ class Network {
   /// those arrivals leave the change tracking untouched, the injection
   /// cannot wake anyone spuriously and a fixpoint round stays a fixpoint.
   bool add_edge(Slot s, EdgeKind k, Slot target);
-  /// Inserts (s -> t) for every t in `targets` in one merge pass; `targets`
-  /// must be sorted by order_key and free of duplicates. Equivalent to
-  /// calling add_edge per target; returns the number actually inserted.
-  /// Same contract as add_edge: when nothing is actually inserted (all
-  /// duplicates), no dirty mark is left behind.
-  std::size_t add_edges_bulk(Slot s, EdgeKind k, std::span<const Slot> targets);
   /// Removes (s -> target); returns false if absent.
   bool remove_edge(Slot s, EdgeKind k, Slot target);
   /// Removes (s -> t) for every t in `targets` in one compaction pass;
@@ -332,7 +326,7 @@ class Network {
   detail::RelaxedCell<std::uint8_t> dead_refs_;
   detail::RelaxedCell<std::uint64_t> topo_version_;  // see topology_version()
 
-  std::vector<Slot> merge_buf_;  // single-threaded scratch (commit/normalize)
+  std::vector<Slot> merge_buf_;  // single-threaded scratch (normalize only)
 
   void mark_dirty(Slot s) noexcept {
     slot_dirty_[s] = 1;

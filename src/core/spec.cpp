@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "ident/ring_pos.hpp"
+#include "util/rng.hpp"
 #include "util/sorted_vec.hpp"
 
 namespace rechord::core {
@@ -186,6 +187,22 @@ std::size_t StableSpec::spec_edge_count(EdgeKind k) const noexcept {
                        : k == EdgeKind::kRing   ? er_
                                                 : ec_;
   return e.to.size();
+}
+
+Network stable_network(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const auto ids = util::distinct_u64(rng, n);
+  Network net{std::span<const RingPos>(ids)};
+  const auto spec = StableSpec::compute(net);
+  for (Slot s : spec.nodes_in_order()) net.set_alive(s, true);
+  for (Slot s : spec.nodes_in_order()) {
+    for (Slot t : spec.eu(s)) net.add_edge(s, EdgeKind::kUnmarked, t);
+    for (Slot t : spec.er(s)) net.add_edge(s, EdgeKind::kRing, t);
+    for (Slot t : spec.ec(s)) net.add_edge(s, EdgeKind::kConnection, t);
+    net.set_rl(s, spec.rl(s));
+    net.set_rr(s, spec.rr(s));
+  }
+  return net;
 }
 
 }  // namespace rechord::core

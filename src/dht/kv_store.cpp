@@ -2,32 +2,50 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
-#include "chord/routing.hpp"
 #include "ident/hashing.hpp"
-#include "ident/ring_pos.hpp"
 
 namespace rechord::dht {
+namespace {
+
+/// Index of successor(h) in the ascending positions: the first position
+/// >= h, wrapping to 0 past the top of the ring.
+std::size_t successor_index(const std::vector<core::RingPos>& pos,
+                            core::RingPos h) {
+  const auto it = std::lower_bound(pos.begin(), pos.end(), h);
+  return it == pos.end() ? 0 : static_cast<std::size_t>(it - pos.begin());
+}
+
+}  // namespace
+
+RoutingView RoutingView::snapshot(const core::Network& net) {
+  std::vector<std::uint32_t> live = net.live_owners();
+  std::sort(live.begin(), live.end(), [&net](std::uint32_t a, std::uint32_t b) {
+    return net.owner_pos(a) < net.owner_pos(b);
+  });
+  RoutingView view;
+  view.pos.reserve(live.size());
+  for (std::uint32_t o : live) view.pos.push_back(net.owner_pos(o));
+  view.owners = std::move(live);
+  return view;
+}
 
 std::uint32_t RoutingView::responsible(core::RingPos h) const {
-  assert(!proj.pos.empty());
-  const std::uint32_t v = chord::responsible_vertex(proj.pos, h);
-  return proj.owners[v];
+  assert(!pos.empty());
+  return owners[successor_index(pos, h)];
 }
 
 std::vector<std::uint32_t> RoutingView::replica_set(core::RingPos h,
                                                     unsigned replicas) const {
-  // Sort live peers by clockwise distance from h and take the closest r.
-  std::vector<std::uint32_t> order(proj.owners.size());
-  for (std::uint32_t v = 0; v < order.size(); ++v) order[v] = v;
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return ident::cw_dist(h, proj.pos[a]) < ident::cw_dist(h, proj.pos[b]);
-  });
-  std::vector<std::uint32_t> owners;
-  const std::size_t want = std::min<std::size_t>(replicas, order.size());
-  owners.reserve(want);
-  for (std::size_t i = 0; i < want; ++i) owners.push_back(proj.owners[order[i]]);
-  return owners;
+  const std::size_t want = std::min<std::size_t>(replicas, owners.size());
+  std::vector<std::uint32_t> set;
+  set.reserve(want);
+  for (std::size_t i = successor_index(pos, h); set.size() < want; ++i) {
+    if (i == owners.size()) i = 0;
+    set.push_back(owners[i]);
+  }
+  return set;
 }
 
 void KvStore::ensure_owner(std::uint32_t owner) {

@@ -22,18 +22,20 @@
 #include <vector>
 
 #include "core/network.hpp"
-#include "core/projection.hpp"
 
 namespace rechord::dht {
 
 /// A placement snapshot of the live overlay -- which owner is responsible
 /// for a key and which hold its replicas (recompute after churn/healing).
+/// The live owners in ring order: a key's successor list is the run that
+/// starts at the first position >= its hash and wraps past the top.
 struct RoutingView {
-  core::RealProjection proj;
+  /// Positions of the live owners, ascending (live ids are distinct).
+  std::vector<core::RingPos> pos;
+  /// owners[i] is the live owner at pos[i].
+  std::vector<std::uint32_t> owners;
 
-  [[nodiscard]] static RoutingView snapshot(const core::Network& net) {
-    return {core::RealProjection::compute(net)};
-  }
+  [[nodiscard]] static RoutingView snapshot(const core::Network& net);
 
   /// The owner responsible for hash h: successor(h) on the ring.
   [[nodiscard]] std::uint32_t responsible(core::RingPos h) const;

@@ -1,7 +1,8 @@
 #pragma once
-// A small directed multigraph on dense vertex ids [0, n). Used by the
-// initial-state generators (edges between real peers) and by analysis code
-// (the real-node projection of a Re-Chord network, routing graphs).
+// A small directed multigraph on dense vertex ids [0, n). The library uses
+// it for the initial-state generators' edges between real peers; the Chord
+// baselines (bench/baselines) and the tests' connectivity checks
+// (tests/test_util.hpp) build on it too.
 
 #include <cstdint>
 #include <vector>

@@ -7,11 +7,11 @@
 
 #include <cmath>
 
-#include "chord/ideal_chord.hpp"
-#include "chord/routing.hpp"
-#include "chord/stabilizer.hpp"
+#include "baselines/ideal_chord.hpp"
+#include "baselines/projection.hpp"
+#include "baselines/routing.hpp"
+#include "baselines/stabilizer.hpp"
 #include "core/convergence.hpp"
-#include "core/projection.hpp"
 #include "gen/topologies.hpp"
 #include "test_util.hpp"
 

@@ -11,9 +11,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "../bench/common.hpp"
 #include "core/churn.hpp"
 #include "core/convergence.hpp"
+#include "core/spec.hpp"
 #include "gen/topologies.hpp"
 #include "ident/hashing.hpp"
 #include "net/request_engine.hpp"
@@ -81,6 +81,52 @@ TEST(RoutingView, ReplicaSetCappedByPeerCount) {
   auto engine = stable_engine(3, 3);
   const auto view = RoutingView::snapshot(engine.network());
   EXPECT_EQ(view.replica_set(ident::hash_name("k"), 8).size(), 3U);
+}
+
+/// The placement rule as first written, kept as the test-side reference:
+/// every live owner, sorted by clockwise distance from h.
+std::vector<std::uint32_t> clockwise_sort_reference(const core::Network& net,
+                                                    core::RingPos h) {
+  std::vector<std::uint32_t> order = net.live_owners();
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return ident::cw_dist(h, net.owner_pos(a)) <
+           ident::cw_dist(h, net.owner_pos(b));
+  });
+  return order;
+}
+
+TEST(RoutingView, MatchesClockwiseSortReference) {
+  util::Rng rng(28);
+  for (const std::size_t n : {1, 2, 5, 64, 600}) {
+    const auto ids = gen::random_ids(rng, n);
+    core::Network net{std::span<const core::RingPos>(ids)};
+    std::vector<std::uint32_t> victims(n);
+    for (std::uint32_t o = 0; o < n; ++o) victims[o] = o;
+    rng.shuffle(victims);
+    for (std::size_t i = 0; i < n / 3; ++i) core::crash(net, victims[i]);
+    const auto live = net.live_owners();
+    ASSERT_EQ(live.size(), n - n / 3);
+
+    std::vector<core::RingPos> keys = {0, UINT64_MAX};
+    for (int i = 0; i < 64; ++i) keys.push_back(rng.next());
+    for (const std::uint32_t o : live) {
+      const core::RingPos at = net.owner_pos(o);
+      keys.insert(keys.end(), {at - 1, at, at + 1});
+    }
+
+    const auto view = RoutingView::snapshot(net);
+    for (const core::RingPos h : keys) {
+      const auto ref = clockwise_sort_reference(net, h);
+      EXPECT_EQ(view.responsible(h), ref[0]) << "n=" << n << " h=" << h;
+      for (const std::size_t r : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{3}, n, n + 1}) {
+        const std::vector<std::uint32_t> want(
+            ref.begin(), ref.begin() + std::min(r, ref.size()));
+        EXPECT_EQ(view.replica_set(h, static_cast<unsigned>(r)), want)
+            << "n=" << n << " h=" << h << " replicas=" << r;
+      }
+    }
+  }
 }
 
 TEST(KvStore, GetMissingKey) {
@@ -239,7 +285,7 @@ TEST(KvStore, SinglePeerDegenerateStore) {
 TEST(KvStore, LiveGetsFindEveryKeyInLogarithmicHops) {
   constexpr int kGets = 1000;
   for (const std::size_t n : {256U, 2048U}) {
-    core::Engine engine(bench::stable_network(n, 5), {});
+    core::Engine engine(core::stable_network(n, 5), {});
     KvStore kv;
     seed_keys(kv, RoutingView::snapshot(engine.network()), kGets);
     net::RequestEngine req(engine);

@@ -4,7 +4,6 @@
 
 #include <set>
 
-#include "graph/connectivity.hpp"
 #include "test_util.hpp"
 
 namespace rechord::gen {
@@ -16,7 +15,7 @@ TEST(Topologies, AllFamiliesAreWeaklyConnected) {
       util::Rng rng(7);
       const auto g = make_topology(t, n, rng);
       EXPECT_EQ(g.vertex_count(), n) << topology_name(t);
-      EXPECT_TRUE(graph::weakly_connected(g))
+      EXPECT_TRUE(testing::weakly_connected(g))
           << topology_name(t) << " n=" << n;
     }
   }
@@ -46,7 +45,7 @@ TEST(Topologies, CliqueIsComplete) {
 TEST(Topologies, CycleIsStronglyConnected) {
   util::Rng rng(1);
   const auto g = make_topology(Topology::kCycle, 7, rng);
-  EXPECT_TRUE(graph::strongly_connected(g));
+  EXPECT_TRUE(testing::strongly_connected(g));
 }
 
 TEST(Topologies, RandomConnectedHonorsExtraEdgeFactor) {

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
-#include "graph/connectivity.hpp"
 #include "graph/digraph.hpp"
-#include "graph/union_find.hpp"
+#include "test_util.hpp"
 
 namespace rechord::graph {
 namespace {
+
+using testing::reachable;
+using testing::strongly_connected;
+using testing::UnionFind;
+using testing::weak_component_count;
+using testing::weakly_connected;
 
 TEST(Digraph, AddVertexAndEdges) {
   Digraph g;
@@ -79,17 +84,6 @@ TEST(Connectivity, DisconnectedDetected) {
   g.add_edge(2, 3);
   EXPECT_FALSE(weakly_connected(g));
   EXPECT_EQ(weak_component_count(g), 2U);
-}
-
-TEST(Connectivity, ComponentLabels) {
-  Digraph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(3, 4);
-  const auto label = weak_components(g);
-  EXPECT_EQ(label[0], label[1]);
-  EXPECT_EQ(label[3], label[4]);
-  EXPECT_NE(label[0], label[3]);
-  EXPECT_NE(label[2], label[0]);
 }
 
 TEST(Connectivity, Reachability) {

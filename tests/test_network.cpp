@@ -79,11 +79,6 @@ TEST(Edges, DuplicateDeliveriesLeaveNoDirtyMarks) {
   EXPECT_FALSE(net.add_edge(a, EdgeKind::kConnection, b));
   EXPECT_FALSE(net.owner_dirty(0));
   EXPECT_FALSE(net.slot_dirty(a));
-  // Bulk form, all duplicates (pre-sorted by order, as the commit pass
-  // guarantees): same contract.
-  std::vector<Slot> dup = net.edges(a, EdgeKind::kConnection);
-  EXPECT_EQ(net.add_edges_bulk(a, EdgeKind::kConnection, dup), 0U);
-  EXPECT_FALSE(net.owner_dirty(0));
   EXPECT_FALSE(net.consume_round_changes());
   // A genuinely new edge still marks and reports.
   EXPECT_TRUE(net.add_edge(b, EdgeKind::kConnection, c));
@@ -105,9 +100,9 @@ TEST(TopologyVersion, EveryMutatorBumpsDuplicatesDoNot) {
   };
   EXPECT_TRUE(bumps([&] { net.add_edge(a, EdgeKind::kUnmarked, b); }));
   EXPECT_FALSE(bumps([&] { net.add_edge(a, EdgeKind::kUnmarked, b); }));
-  const Slot bulk[] = {c, d};  // sorted by order key
-  EXPECT_TRUE(bumps([&] { net.add_edges_bulk(a, EdgeKind::kRing, bulk); }));
-  EXPECT_FALSE(bumps([&] { net.add_edges_bulk(a, EdgeKind::kRing, bulk); }));
+  EXPECT_TRUE(bumps([&] { net.add_edge(a, EdgeKind::kRing, c); }));
+  EXPECT_TRUE(bumps([&] { net.add_edge(a, EdgeKind::kRing, d); }));
+  EXPECT_FALSE(bumps([&] { net.add_edge(a, EdgeKind::kRing, c); }));
   EXPECT_TRUE(bumps([&] { net.remove_edge(a, EdgeKind::kUnmarked, b); }));
   EXPECT_TRUE(bumps([&] { net.clear_edges(a); }));
   EXPECT_TRUE(bumps([&] { net.set_rl(b, a); }));

@@ -1,7 +1,7 @@
 // Tests for the overlay views: the real-node projection E_ReChord (paper
 // §2.2) and the full slot-level overlay used for guaranteed-progress walks.
 
-#include "core/projection.hpp"
+#include "baselines/projection.hpp"
 
 #include <gtest/gtest.h>
 
@@ -78,7 +78,7 @@ TEST(RealProjection, StableNetworkIsStronglyConnected) {
   const auto spec = StableSpec::compute(engine.network());
   ASSERT_TRUE(run_to_stable(engine, spec, {}).stabilized);
   const auto proj = RealProjection::compute(engine.network());
-  EXPECT_TRUE(graph::strongly_connected(proj.graph))
+  EXPECT_TRUE(testing::strongly_connected(proj.graph))
       << "every peer must reach every peer over E_ReChord";
 }
 
@@ -122,7 +122,7 @@ TEST(FullOverlay, StableOverlayWeaklyConnected) {
   const auto spec = StableSpec::compute(engine.network());
   ASSERT_TRUE(run_to_stable(engine, spec, {}).stabilized);
   const auto ov = FullOverlay::compute(engine.network());
-  EXPECT_TRUE(graph::weakly_connected(ov.graph));
+  EXPECT_TRUE(testing::weakly_connected(ov.graph));
 }
 
 }  // namespace

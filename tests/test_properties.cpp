@@ -12,10 +12,10 @@
 #include <string>
 #include <tuple>
 
-#include "chord/ideal_chord.hpp"
-#include "chord/routing.hpp"
+#include "baselines/ideal_chord.hpp"
+#include "baselines/projection.hpp"
+#include "baselines/routing.hpp"
 #include "core/convergence.hpp"
-#include "core/projection.hpp"
 #include "gen/topologies.hpp"
 #include "test_util.hpp"
 

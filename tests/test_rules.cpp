@@ -8,8 +8,8 @@
 #include <algorithm>
 #include <string>
 
-#include "../bench/common.hpp"
 #include "core/engine.hpp"
+#include "core/spec.hpp"
 #include "gen/topologies.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
@@ -562,7 +562,7 @@ TEST(Rules, BulkRules4And6MatchPerEdgeReference) {
       for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         util::Rng rng(seed);
         Network net = start == Start::kFixpoint
-                          ? bench::stable_network(n, seed)
+                          ? core::stable_network(n, seed)
                           : gen::make_network(gen::Topology::kRandomConnected,
                                               n, rng);
         if (start == Start::kScrambled) gen::scramble_state(net, rng);

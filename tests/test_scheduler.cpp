@@ -13,7 +13,6 @@
 #include <functional>
 #include <string>
 
-#include "../bench/common.hpp"
 #include "core/churn.hpp"
 #include "core/convergence.hpp"
 #include "core/engine.hpp"
@@ -168,7 +167,7 @@ TEST(Scheduler, ParanoidReplayCrossCheckFindsNoMismatch) {
 // paranoid cross-check must find no mismatch, and both kinds of replay must
 // actually have run.
 TEST(Scheduler, ClearSetReplayMatchesFullScanThroughCrashRecovery) {
-  const Network base = bench::stable_network(96, 11);
+  const Network base = core::stable_network(96, 11);
   for (const unsigned threads : {1U, 2U}) {
     Engine active(base, {.threads = threads});
     Engine paranoid(base, {.threads = threads, .paranoid_replay = true});
@@ -367,8 +366,8 @@ TEST(Scheduler, StormWithoutResetStaysBitIdentical) {
         << label;
     EXPECT_GT(run.all_skipped_rounds, 0U) << label;
   }
-  Engine active(bench::stable_network(400, 1), {});
-  Engine full(bench::stable_network(400, 1), {.full_scan = true});
+  Engine active(core::stable_network(400, 1), {});
+  Engine full(core::stable_network(400, 1), {.full_scan = true});
   for (int r = 0; r < 3; ++r) {  // recording step, then certified rounds
     active.step();
     full.step();
@@ -733,7 +732,7 @@ TEST(Scheduler, InFlightReferencedPeersNeverRestingAndGateFixpoint) {
 // certified rounds again, so no check passes vacuously. The full scan and
 // the paranoid engine never certify.
 TEST(Scheduler, CertifiedRoundsVoidOnEveryInputChange) {
-  const Network base = bench::stable_network(96, 7);
+  const Network base = core::stable_network(96, 7);
   for (const unsigned threads : {1U, 2U}) {
     Engine active(base, {.threads = threads});
     Engine full(base, {.threads = 1, .full_scan = true});

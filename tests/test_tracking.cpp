@@ -219,31 +219,5 @@ TEST(Tracking, StrayEdgeAfterFixpointIsDetectedAndRepaired) {
   EXPECT_TRUE(result.spec_exact);
 }
 
-TEST(BulkInsert, MatchesIndividualAddEdge) {
-  util::Rng rng(71);
-  for (int trial = 0; trial < 20; ++trial) {
-    Network a = fresh(8, 80 + static_cast<std::uint64_t>(trial));
-    Network b = a;
-    const auto slots = a.live_slots();
-    const Slot s = slots[rng.below(slots.size())];
-    const auto kind = static_cast<EdgeKind>(rng.below(kEdgeKinds));
-    // Random batch, possibly overlapping existing edges and including s.
-    std::vector<Slot> batch;
-    for (int i = 0; i < 6; ++i) batch.push_back(slots[rng.below(slots.size())]);
-    std::sort(batch.begin(), batch.end(), [&a](Slot x, Slot y) {
-      return a.order_key(x) < a.order_key(y);
-    });
-    batch.erase(std::unique(batch.begin(), batch.end()), batch.end());
-
-    std::size_t added_individually = 0;
-    for (Slot t : batch) added_individually += b.add_edge(s, kind, t);
-    const std::size_t added_bulk = a.add_edges_bulk(s, kind, batch);
-
-    EXPECT_EQ(added_bulk, added_individually) << "trial " << trial;
-    EXPECT_EQ(a.serialize_state(), b.serialize_state()) << "trial " << trial;
-    EXPECT_EQ(a.edge_count(kind), b.edge_count(kind)) << "trial " << trial;
-  }
-}
-
 }  // namespace
 }  // namespace rechord::core
