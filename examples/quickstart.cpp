@@ -30,15 +30,10 @@ int main(int argc, char** argv) {
   core::Engine engine(std::move(net), core::engine_options_from_cli(cli));
   const core::StableSpec spec = core::StableSpec::compute(engine.network());
 
-  core::RunOptions opt;
-  opt.max_rounds = 100000;
-  opt.track_series = true;
-  const core::RunResult result = core::run_to_stable(engine, spec, opt);
-
   std::printf("\n%-6s %10s %10s %8s %8s %8s %8s %7s %7s %7s\n", "round",
               "virt", "unmarked", "ring", "conn", "normal", "total", "live",
               "replay", "skip");
-  for (const auto& mt : result.series) {
+  engine.set_round_observer([](const core::RoundMetrics& mt) {
     if (mt.round % 5 == 0 || !mt.changed) {
       std::printf("%-6llu %10zu %10zu %8zu %8zu %8zu %8zu %7zu %7zu %7zu\n",
                   static_cast<unsigned long long>(mt.round), mt.virtual_nodes,
@@ -46,7 +41,10 @@ int main(int argc, char** argv) {
                   mt.normal_edges(), mt.total_edges(), mt.active_peers,
                   mt.replayed_peers, mt.skipped_peers);
     }
-  }
+  });
+  core::RunOptions opt;
+  opt.max_rounds = 100000;
+  const core::RunResult result = core::run_to_stable(engine, spec, opt);
 
   std::printf("\nstabilized          : %s\n", result.stabilized ? "yes" : "NO");
   std::printf("peer-rounds         : %llu live, %llu replayed, %llu skipped "

@@ -17,7 +17,6 @@ RunResult run_to_stable(Engine& engine, const StableSpec& spec,
     result.live_peer_rounds += mt.active_peers;
     result.replayed_peer_rounds += mt.replayed_peers;
     result.skipped_peer_rounds += mt.skipped_peers;
-    if (options.track_series) result.series.push_back(mt);
     if (!result.reached_almost && spec.almost_stable(engine.network())) {
       result.reached_almost = true;
       result.rounds_to_almost = rounds;

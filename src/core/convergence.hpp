@@ -1,12 +1,10 @@
 #pragma once
 // Convergence runner: drives an Engine until the exact fixpoint, recording
 // the two quantities of the paper's Figure 6 -- rounds to the stable state
-// and rounds to the "almost stable" state -- plus the per-round metric
-// series behind Figures 5 and 7.
+// and rounds to the "almost stable" state. The per-round metric series
+// behind Figures 5 and 7 comes from Engine::set_round_observer.
 
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "core/engine.hpp"
 #include "core/spec.hpp"
@@ -17,9 +15,6 @@ struct RunOptions {
   /// Hard cap on rounds (the theory bound is O(n log n); experiments finish
   /// far earlier). Exceeding the cap reports stabilized = false.
   std::uint64_t max_rounds = 1'000'000;
-  /// Record the full per-round metric series (Figures 5/7 need only the
-  /// final state; set true for time-series output).
-  bool track_series = false;
 };
 
 struct RunResult {
@@ -42,7 +37,6 @@ struct RunResult {
   std::uint64_t live_peer_rounds = 0;
   std::uint64_t replayed_peer_rounds = 0;
   std::uint64_t skipped_peer_rounds = 0;
-  std::vector<RoundMetrics> series;  // when track_series
 };
 
 /// Runs the engine until fixpoint (or the cap), measuring against `spec`.

@@ -96,26 +96,6 @@ std::vector<std::uint32_t> Engine::inflight_referenced_owners() const {
   return out;
 }
 
-std::vector<std::uint32_t> Engine::inflight_refcount_owners() const {
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t o : inflight_ref_owners_)
-    if (inflight_refs_[o] > 0) out.push_back(o);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void Engine::inflight_ref_add(std::uint32_t owner) {
-  if (inflight_refs_.size() <= owner) {
-    inflight_refs_.resize(owner + 1, 0);
-    inflight_ref_listed_.resize(owner + 1, 0);
-  }
-  ++inflight_refs_[owner];
-  if (!inflight_ref_listed_[owner]) {
-    inflight_ref_listed_[owner] = 1;
-    inflight_ref_owners_.push_back(owner);
-  }
-}
-
 void Engine::set_partition(std::vector<std::uint8_t> group_of_owner) {
   partition_group_ = std::move(group_of_owner);
   partition_active_ = true;
@@ -317,10 +297,9 @@ void Engine::compute_skip_set() {
   // an owner referenced (target or payload) by a queued delayed assignment
   // receives -- or resolves -- a delivery the full scan also performs, so it
   // must at least replay until the queue no longer references it. The scan
-  // walks the per-owner refcounts maintained at enqueue/drain -- O(owners
-  // referenced by the queue) -- rather than every queued message, and
-  // compacts drained-out entries in passing (entries whose refcount hit 0
-  // since the last scan). (4) A candidate whose cached ops travel on a
+  // walks the queue itself: O(queued messages) per skip-set round, and the
+  // queue holds only the nonzero-delay traffic of the last max-delay rounds
+  // (DESIGN.md §8.2). (4) A candidate whose cached ops travel on a
   // nonzero delay class must replay, not skip: skipping would stop its
   // emissions from entering the queue, and the active-mode queue would
   // diverge from the full scan's (the queue's emptiness gates fixpoint
@@ -333,18 +312,11 @@ void Engine::compute_skip_set() {
   // it sees the op only once it is queued, and nothing is queued yet in the
   // first round of a new model or datacenter assignment (nor after a run of
   // zero draws of a jittered class).
-  {
-    std::size_t w = 0;
-    for (const std::uint32_t o : inflight_ref_owners_) {
-      if (inflight_refs_[o] == 0) {
-        inflight_ref_listed_[o] = 0;
-        continue;
-      }
-      inflight_ref_owners_[w++] = o;
-      evict(o);
+  for (const auto& bucket : inflight_)
+    for (const DelayedOp& op : bucket) {
+      evict(owner_of(op.target));
+      evict(owner_of(op.payload));
     }
-    inflight_ref_owners_.resize(w);
-  }
   if (latency_installed_ && !latency_.trivial())
     for (std::uint32_t o = 0; o < n; ++o) {
       const PeerCache& pc = cache_[o];
@@ -477,9 +449,9 @@ void Engine::replay_peer(std::uint32_t owner, const PeerCache& pc,
 }
 
 void Engine::run_range(std::size_t begin, std::size_t end,
-                       std::vector<DelayedOp>& out, unsigned shard) {
-  RuleActivity& act = shard_activity_[shard];
-  RuleArena& arena = arenas_[shard];
+                       std::vector<DelayedOp>& out, Shard& sh) {
+  RuleActivity& act = sh.activity;
+  RuleArena& arena = sh.arena;
   // A storm round is a full-scan round: no skip, no replay, no recording.
   const bool active = active_mode() && !bulk_round_;
   // In latency rounds, each peer's contiguous op span is recorded as
@@ -491,7 +463,7 @@ void Engine::run_range(std::size_t begin, std::size_t end,
     const std::size_t peer_op_base = out.size();
     const auto note_src = [&] {
       if (track_src && out.size() > peer_op_base)
-        shard_op_src_[shard].emplace_back(
+        sh.op_src.emplace_back(
             owner, static_cast<std::uint32_t>(out.size() - peer_op_base));
     };
     bool check = false;
@@ -503,30 +475,26 @@ void Engine::run_range(std::size_t begin, std::size_t end,
         // cancel, and compute_skip_set() proved the whole flow rests with
         // it. Touch nothing; count the cached activity so the rule-activity
         // metrics stay mode-independent.
-        ++shard_skipped_[shard];
+        ++sh.skipped;
         act += pc->activity;
-        if (boundary_[owner]) {
-          // Emit-only (translation closure, DESIGN.md §6.6): a downstream
-          // owner runs this round, so the peer's cached ops must reach the
-          // commit -- exactly the emission a replay would produce. Commit
-          // reads them from the cache and delivers only the ops that can
-          // still change a set (see the emit-only pass there).
-          ++shard_boundary_[shard];
-          shard_emit_only_[shard].push_back(owner);
-        }
+        // Emit-only (translation closure, DESIGN.md §6.6): a downstream
+        // owner runs this round, so the peer's cached ops must reach the
+        // commit -- exactly the emission a replay would produce. Commit
+        // reads them from the cache and delivers only the ops that can
+        // still change a set (see the emit-only pass there).
+        if (boundary_[owner]) ++sh.boundary;
         continue;
       }
       if (pc->valid && !wake_[owner]) {
-        ++shard_replayed_[shard];
+        ++sh.replayed;
         if (!opt_.paranoid_replay) {
           replay_peer(owner, *pc, out, act, arena.drop);
-          shard_ran_[shard].push_back(owner);
           note_src();
           continue;
         }
         // Paranoid: run live anyway and diff against the cache below.
         check = true;
-        PeerCache& prev = paranoid_prev_[shard];
+        PeerCache& prev = sh.paranoid_prev;
         prev.delta.swap(pc->delta);
         prev.ops.swap(pc->ops);
         prev.rl.swap(pc->rl);
@@ -538,12 +506,12 @@ void Engine::run_range(std::size_t begin, std::size_t end,
     // Every peer that reaches the live rule execution counts as active --
     // under full_scan that is every participating peer -- except paranoid
     // cross-check runs, which were already counted as replays.
-    if (!check) ++shard_active_[shard];
+    if (!check) ++sh.active;
     const std::size_t op_base = out.size();
     RuleCtx ctx(net_, owner, out, arena);
     // The run records into shard scratch; the cache keeps the previous
     // recording until the comparison below decides whether to replace it.
-    std::vector<LocalEdit>& record = shard_record_[shard];
+    std::vector<LocalEdit>& record = sh.record;
     record.clear();
     if (active) ctx.record = &record;
     Rules::run_all(ctx);
@@ -560,7 +528,6 @@ void Engine::run_range(std::size_t begin, std::size_t end,
       rl_next_[s] = kInvalidSlot;
       rr_next_[s] = kInvalidSlot;
     }
-    shard_ran_[shard].push_back(owner);
     note_src();
     if (active) {
       const auto fresh_begin =
@@ -581,10 +548,10 @@ void Engine::run_range(std::size_t begin, std::size_t end,
           // partner may rest. An invalid cache has nothing to diff: caches
           // go invalid only at a storm entry, and until they re-record no
           // owner is a skip candidate that an eviction could concern.
-          auto& pend = shard_pending_evict_[shard];
+          auto& pend = sh.pending_evict;
           // Fresh ops into an open-addressing set (load <= 1/2, empty
           // marked by an invalid target), then one probe per cached op.
-          auto& set = shard_fresh_set_[shard];
+          auto& set = sh.fresh_set;
           const std::size_t fresh =
               static_cast<std::size_t>(out.end() - fresh_begin);
           std::size_t cap = 16;
@@ -630,14 +597,14 @@ void Engine::run_range(std::size_t begin, std::size_t end,
       pc->activity = ctx.activity;
       pc->valid = true;
       wake_[owner] = 0;
-      shard_live_[shard].push_back(owner);
+      sh.live.push_back(owner);
       if (check) {
-        const PeerCache& prev = paranoid_prev_[shard];
+        const PeerCache& prev = sh.paranoid_prev;
         if (prev.delta != pc->delta || prev.ops != pc->ops ||
             prev.rl != pc->rl || prev.rr != pc->rr ||
             prev.max_index != pc->max_index ||
             !(prev.activity == pc->activity))
-          ++shard_mismatch_[shard];
+          ++sh.mismatch;
       }
     }
   }
@@ -660,40 +627,9 @@ void Engine::run_peers() {
       std::min<unsigned>(opt_.threads, static_cast<unsigned>(owners_.size()));
   const bool serial = threads <= 1 || owners_.size() < 64;
   const unsigned shards = serial ? 1 : threads;
-  if (arenas_.size() < shards) arenas_.resize(shards);
-  if (shard_record_.size() < shards) shard_record_.resize(shards);
-  if (paranoid_prev_.size() < shards) paranoid_prev_.resize(shards);
-  shard_activity_.assign(shards, RuleActivity{});
-  shard_active_.assign(shards, 0);
-  shard_replayed_.assign(shards, 0);
-  shard_skipped_.assign(shards, 0);
-  shard_boundary_.assign(shards, 0);
-  shard_mismatch_.assign(shards, 0);
-  for (auto& v : shard_live_) v.clear();
-  if (shard_live_.size() < shards) shard_live_.resize(shards);
-  for (auto& v : shard_ran_) v.clear();
-  if (shard_ran_.size() < shards) shard_ran_.resize(shards);
-  if (latency_round_) {
-    // Clear every span vector (route_inflight walks them all), not just the
-    // first `shards`, in case a previous round used more shards.
-    for (auto& v : shard_op_src_) v.clear();
-    if (shard_op_src_.size() < shards) shard_op_src_.resize(shards);
-  }
-  // Commit walks every emit-only list, so all of them are cleared, not just
-  // the first `shards` (a previous round may have used more shards).
-  for (auto& v : shard_emit_only_) v.clear();
-  if (shard_emit_only_.size() < shards) shard_emit_only_.resize(shards);
-  if (lazy_evict_round_) {
-    // Clear every pending list (apply_deferred_evictions walks them all)
-    // in case a previous round used more shards.
-    for (auto& v : shard_pending_evict_) v.clear();
-    if (shard_pending_evict_.size() < shards) {
-      shard_pending_evict_.resize(shards);
-      shard_fresh_set_.resize(shards);
-    }
-  }
+  begin_round(shards);
   if (serial) {
-    run_range(0, owners_.size(), ops_, 0);
+    run_range(0, owners_.size(), ops_, shards_[0]);
     return;
   }
   // NOTE(parallel-safety): a peer mutates only its own slots' sets (live or
@@ -704,25 +640,34 @@ void Engine::run_peers() {
   // accesses are per-owner, and the network's metric counters are relaxed
   // atomics. Determinism: queues are concatenated in shard order, which
   // equals the serial (ascending-owner) emission order. Shard 0 emits
-  // straight into ops_ (empty here); shard t > 0 into shard_ops_[t - 1],
+  // straight into ops_ (empty here); shard t > 0 into its own queue,
   // appended after it.
-  if (shard_ops_.size() < shards - 1) shard_ops_.resize(shards - 1);
   WorkerPool& pool = shared_worker_pool(shards);
   const std::size_t chunk = (owners_.size() + shards - 1) / shards;
   pool.run(shards, [&](unsigned t) {
     const std::size_t begin = std::min<std::size_t>(t * chunk, owners_.size());
     const std::size_t end =
         std::min<std::size_t>(begin + chunk, owners_.size());
-    std::vector<DelayedOp>& out = t == 0 ? ops_ : shard_ops_[t - 1];
-    if (t > 0) out.clear();
-    run_range(begin, end, out, t);
+    run_range(begin, end, t == 0 ? ops_ : shards_[t].ops, shards_[t]);
   });
   std::size_t total = ops_.size();
-  for (unsigned t = 1; t < shards; ++t) total += shard_ops_[t - 1].size();
+  for (unsigned t = 1; t < shards; ++t) total += shards_[t].ops.size();
   ops_.reserve(total);
   for (unsigned t = 1; t < shards; ++t)
-    ops_.insert(ops_.end(), shard_ops_[t - 1].begin(),
-                shard_ops_[t - 1].end());
+    ops_.insert(ops_.end(), shards_[t].ops.begin(), shards_[t].ops.end());
+}
+
+void Engine::begin_round(unsigned shards) {
+  if (shards_.size() < shards) shards_.resize(shards);
+  for (Shard& sh : shards_) {
+    sh.activity = RuleActivity{};
+    sh.active = sh.replayed = sh.skipped = sh.boundary = 0;
+    sh.mismatch = 0;
+    sh.ops.clear();
+    sh.op_src.clear();
+    sh.pending_evict.clear();
+    sh.live.clear();
+  }
 }
 
 void Engine::apply_deferred_evictions() {
@@ -734,8 +679,8 @@ void Engine::apply_deferred_evictions() {
   // ascending-owner order -- the serial order -- so the deferred pass is
   // thread-count invariant.
   phase_b_.clear();
-  for (const auto& pend : shard_pending_evict_)
-    for (const std::uint32_t d : pend)
+  for (const Shard& sh : shards_)
+    for (const std::uint32_t d : sh.pending_evict)
       if (skip_[d]) {
         skip_[d] = 0;
         phase_b_.push_back(d);
@@ -760,9 +705,8 @@ void Engine::apply_deferred_evictions() {
     // Appended to the tail of ops_ with no emission span: d was a skip
     // candidate, so its ops are delay-0 (see route_inflight).
     assert(!latency_round_ || zero_delay_ops(d, cache_[d].ops));
-    replay_peer(d, cache_[d], ops_, discard, arenas_[0].drop);
+    replay_peer(d, cache_[d], ops_, discard, shards_[0].arena.drop);
     ++deferred_replays_;
-    shard_ran_[0].push_back(d);
     // The replay applies d's recorded removals, so d's cancellation
     // partners must emit their re-adds: inject every still-skipped sender
     // emit-only. No cascade -- an injected sender's own pair stays
@@ -773,7 +717,6 @@ void Engine::apply_deferred_evictions() {
       ++deferred_boundary_;
       if (tracing)
         tr.note({round_, u, d, 0, 0, 0, util::TraceKind::kBoundaryInject});
-      shard_emit_only_[0].push_back(u);
     }
   }
 }
@@ -810,10 +753,6 @@ void Engine::route_inflight() {
     route_buf_.swap(inflight_.front());
     inflight_.pop_front();
     inflight_count_ -= route_buf_.size();
-    for (const DelayedOp& op : route_buf_) {
-      inflight_ref_sub(owner_of(op.target));
-      inflight_ref_sub(owner_of(op.payload));
-    }
   }
   std::size_t idx = 0;
   const auto route_span = [&](std::uint32_t owner, std::uint32_t count) {
@@ -829,12 +768,10 @@ void Engine::route_inflight() {
       while (inflight_.size() < d) inflight_.emplace_back();
       inflight_[d - 1].push_back(op);
       ++inflight_count_;
-      inflight_ref_add(owner_of(op.target));
-      inflight_ref_add(owner_of(op.payload));
     }
   };
-  for (const auto& spans : shard_op_src_)
-    for (const auto& [owner, count] : spans) route_span(owner, count);
+  for (const Shard& sh : shards_)
+    for (const auto& [owner, count] : sh.op_src) route_span(owner, count);
   route_buf_.insert(route_buf_.end(),
                     ops_.begin() + static_cast<std::ptrdiff_t>(idx),
                     ops_.end());
@@ -914,13 +851,16 @@ RoundMetrics Engine::step() {
     route_inflight();
   }
   activity_ = RuleActivity{};
-  for (const auto& act : shard_activity_) activity_ += act;
   std::size_t active_peers = 0, replayed_peers = 0, skipped_peers = 0,
               boundary_peers = 0;
-  for (std::size_t v : shard_active_) active_peers += v;
-  for (std::size_t v : shard_replayed_) replayed_peers += v;
-  for (std::size_t v : shard_skipped_) skipped_peers += v;
-  for (std::size_t v : shard_boundary_) boundary_peers += v;
+  for (const Shard& sh : shards_) {
+    activity_ += sh.activity;
+    active_peers += sh.active;
+    replayed_peers += sh.replayed;
+    skipped_peers += sh.skipped;
+    boundary_peers += sh.boundary;
+    replay_mismatches_ += sh.mismatch;
+  }
   // Deferred rule-(2) replays ran after the skip branch already counted
   // them as skipped (and, if emit-only, as boundary); recount them as the
   // replays they were, and count the emit-only injections the deferred pass
@@ -928,7 +868,6 @@ RoundMetrics Engine::step() {
   skipped_peers -= deferred_replays_;
   replayed_peers += deferred_replays_;
   boundary_peers = boundary_peers - deferred_unboundary_ + deferred_boundary_;
-  for (std::uint64_t v : shard_mismatch_) replay_mismatches_ += v;
   if (active && !mass_reg_pending_) {
     util::ScopedPhase span(util::Phase::kIndexRegister);
     // Reader and op-sender entries for this round's live runs, derived
@@ -943,8 +882,8 @@ RoundMetrics Engine::step() {
     // of the post-commit ground-truth rebuild below.
     // Both indices are sorted-unique, so re-registering a known entry is a
     // lookup that changes nothing.
-    for (const auto& live : shard_live_)
-      for (std::uint32_t o : live) {
+    for (const Shard& sh : shards_)
+      for (std::uint32_t o : sh.live) {
         const PeerCache& pc = cache_[o];
         if (!pc.notes_fresh) continue;  // identical output: all known
         for (const LocalEdit& e : pc.delta)
@@ -1007,17 +946,18 @@ RoundMetrics Engine::step() {
     }
     deliver(op);
   }
-  // Emit-only delivery (DESIGN.md §6.6), filtered per op. An owner the
-  // deferred pass replayed lost its boundary flag and already emitted
-  // through ops_. Of the rest, an op whose target owner and payload owner
-  // both still rest is a duplicate insertion -- the same argument that lets
-  // a fully skipped peer's ops be omitted -- and a duplicate add is a no-op
-  // (Network::add_edge), so it is not delivered at all.
-  assert((!partition_active_ && !lossy) ||
-         std::all_of(shard_emit_only_.begin(), shard_emit_only_.end(),
-                     [](const auto& v) { return v.empty(); }));
-  for (const auto& emit_only : shard_emit_only_)
-    for (const std::uint32_t u : emit_only) {
+  // Emit-only delivery (DESIGN.md §6.6), filtered per op: the owners
+  // flagged in boundary_, which is refilled only in rounds that build a skip
+  // set -- in any other round it holds a stale earlier round's flags, hence
+  // the gate. An owner the deferred pass replayed lost its flag and already
+  // emitted through ops_. Of the rest, an op whose target owner and payload
+  // owner both still rest is a duplicate insertion -- the same argument that
+  // lets a fully skipped peer's ops be omitted -- and a duplicate add is a
+  // no-op (Network::add_edge), so it is not delivered at all. Skip-set
+  // rounds are loss-free and cut-free, so the delivery order is free.
+  assert(!lazy_evict_round_ || (!partition_active_ && !lossy));
+  if (lazy_evict_round_)
+    for (std::uint32_t u = 0; u < boundary_.size(); ++u) {
       if (!boundary_[u]) continue;
       assert(!latency_round_ || zero_delay_ops(u, cache_[u].ops));
       for (const DelayedOp& op : cache_[u].ops) {
@@ -1033,19 +973,21 @@ RoundMetrics Engine::step() {
   }
   {
   util::ScopedPhase publish_span(util::Phase::kPublishNormalize);
-  // Publish this round's rl/rr for the owners that ran, live slots and dead
-  // tails alike (rule 3 results reference real slots only; normalize()
-  // clears any that refer to dead slots). A peer that was skipped or slept
-  // keeps its published values -- for skipped peers that is exactly what a
-  // full scan would have republished.
-  for (const auto& ran : shard_ran_)
-    for (std::uint32_t o : ran) {
-      const Slot base = slot_of(o, 0);
-      for (std::uint32_t i = 0; i < kSlotsPerOwner; ++i) {
-        net_.set_rl(base + i, rl_next_[base + i]);
-        net_.set_rr(base + i, rr_next_[base + i]);
-      }
+  // Publish this round's rl/rr for the owners that ran (live, replayed or
+  // deferred-replayed: every owner in owners_ whose skip_ flag is clear),
+  // live slots and dead tails alike (rule 3 results reference real slots
+  // only; normalize() clears any that refer to dead slots). A peer that was
+  // skipped or slept keeps its published values -- for skipped peers that
+  // is exactly what a full scan would have republished; sleepers are not in
+  // owners_. The full scan keeps skip_ empty: nothing is skipped.
+  for (const std::uint32_t o : owners_) {
+    if (!skip_.empty() && skip_[o]) continue;
+    const Slot base = slot_of(o, 0);
+    for (std::uint32_t i = 0; i < kSlotsPerOwner; ++i) {
+      net_.set_rl(base + i, rl_next_[base + i]);
+      net_.set_rr(base + i, rr_next_[base + i]);
     }
+  }
   net_.normalize();
   }
   // Deferred mass registration: one exact rebuild over the post-commit edge
@@ -1111,8 +1053,10 @@ RoundMetrics Engine::step() {
       v->clear();
       v->shrink_to_fit();
     }
-    shard_ops_.clear();
-    shard_ops_.shrink_to_fit();
+    for (Shard& sh : shards_) {
+      sh.ops.clear();
+      sh.ops.shrink_to_fit();
+    }
   }
   }
   return publish_round(mt);
@@ -1148,14 +1092,7 @@ std::vector<MemoryPart> Engine::memory_parts() const {
   owner_arrays.add(boundary_);
   owner_arrays.add(partition_group_);
   owner_arrays.add(dc_of_owner_);
-  owner_arrays.add(inflight_refs_);
-  owner_arrays.add(inflight_ref_listed_);
-  owner_arrays.add(inflight_ref_owners_);
   for (const auto& bucket : inflight_) inflight.add(bucket);
-  const auto add_all = [&scratch](const auto& per_shard) {
-    scratch.add(per_shard);
-    for (const auto& v : per_shard) scratch.add(v);
-  };
   scratch.add(owners_);
   scratch.add(ops_);
   scratch.add(route_buf_);
@@ -1165,27 +1102,19 @@ std::vector<MemoryPart> Engine::memory_parts() const {
   scratch.add(changed_owners_);
   scratch.add(published_owners_);
   scratch.add(oob_owners_);
-  scratch.add(shard_activity_);
-  scratch.add(shard_active_);
-  scratch.add(shard_replayed_);
-  scratch.add(shard_skipped_);
-  scratch.add(shard_boundary_);
-  scratch.add(shard_mismatch_);
-  add_all(shard_ops_);
-  add_all(shard_record_);
-  add_all(shard_op_src_);
-  add_all(shard_emit_only_);
-  add_all(shard_pending_evict_);
-  add_all(shard_fresh_set_);
-  add_all(shard_live_);
-  add_all(shard_ran_);
-  scratch.add(arenas_);
-  for (const RuleArena& a : arenas_)
+  scratch.add(shards_);
+  for (const Shard& sh : shards_) {
+    scratch.add(sh.ops);
+    scratch.add(sh.record);
+    scratch.add(sh.op_src);
+    scratch.add(sh.pending_evict);
+    scratch.add(sh.fresh_set);
+    scratch.add(sh.live);
+    const RuleArena& a = sh.arena;
     for (const auto* v : {&a.siblings, &a.known, &a.known_real, &a.scratch,
                           &a.cand, &a.held, &a.drop})
       scratch.add(*v);
-  scratch.add(paranoid_prev_);
-  for (const PeerCache& pc : paranoid_prev_) {
+    const PeerCache& pc = sh.paranoid_prev;
     scratch.add(pc.delta);
     scratch.add(pc.ops);
     scratch.add(pc.rl);

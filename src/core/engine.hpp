@@ -343,12 +343,6 @@ class Engine {
   /// message -- exactly the owners the next step() must keep out of the
   /// resting-skip set (test instrumentation). Derived by walking the queue.
   [[nodiscard]] std::vector<std::uint32_t> inflight_referenced_owners() const;
-  /// The same set derived from the per-owner in-flight refcounts that the
-  /// skip rule-(3) eviction scan actually uses (maintained at enqueue/drain,
-  /// O(referenced owners) per round instead of O(queue)). Must always equal
-  /// inflight_referenced_owners() -- the scheduler lockstep tests assert the
-  /// equivalence.
-  [[nodiscard]] std::vector<std::uint32_t> inflight_refcount_owners() const;
   /// True when `owner` was skipped as resting by the most recent step()
   /// (test instrumentation).
   [[nodiscard]] bool owner_was_skipped(std::uint32_t owner) const noexcept {
@@ -447,24 +441,7 @@ class Engine {
   std::uint8_t dc_max_ = 0;                // largest assigned datacenter id
   std::deque<std::vector<DelayedOp>> inflight_;
   std::size_t inflight_count_ = 0;
-  // Per-owner count of queued messages referencing the owner (target or
-  // payload), maintained at enqueue and drain so the skip rule-(3) eviction
-  // scan touches only the owners a queued message actually references
-  // instead of re-walking the whole queue every round (DESIGN.md §8.2).
-  // inflight_ref_owners_ lists the owners ever referenced since the last
-  // compaction (inflight_ref_listed_ deduplicates entries); compute_skip_set
-  // compacts it by dropping zero-refcount entries.
-  std::vector<std::uint32_t> inflight_refs_;
-  std::vector<std::uint8_t> inflight_ref_listed_;
-  std::vector<std::uint32_t> inflight_ref_owners_;
   std::vector<DelayedOp> route_buf_;  // route_inflight scratch
-  // Per shard: (owner, op count) runs recording which peer emitted which
-  // contiguous span of the shard's op queue -- the sender is what selects
-  // the delay class. Only maintained while a latency model is installed.
-  // Emit-only owners and the deferred pass need no spans: every op they
-  // emit is delay-0 (see route_inflight).
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-      shard_op_src_;
   std::function<void(const RoundMetrics&)> observer_;
   RuleActivity activity_;
   bool baseline_ready_ = false;  // incremental-tracking baseline
@@ -484,17 +461,40 @@ class Engine {
   RoundMetrics cert_metrics_;
   std::uint64_t certified_rounds_ = 0;
 
+  /// One worker's round state: run_range(t) writes only shards_[t], and
+  /// begin_round() resets every kept shard, so a round that uses fewer
+  /// shards than an earlier one leaves the rest empty and zeroed.
+  struct Shard {
+    RuleActivity activity;
+    std::size_t active = 0, replayed = 0, skipped = 0, boundary = 0;
+    std::uint64_t mismatch = 0;  // paranoid_replay cross-check failures
+    /// Op queue of shards 1..T-1 (shard 0 emits into ops_ directly).
+    std::vector<DelayedOp> ops;
+    /// The edits of the live run in progress (RuleCtx::record).
+    std::vector<LocalEdit> record;
+    RuleArena arena;
+    /// (owner, op count) runs recording which peer emitted which contiguous
+    /// span of the shard's op queue -- the sender is what selects the delay
+    /// class. Only filled in latency rounds. Emit-only owners and the
+    /// deferred pass need no spans: every op they emit is delay-0 (see
+    /// route_inflight).
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> op_src;
+    /// Owners referenced by ops the shard's live runs dropped (deferred
+    /// rule (2), see lazy_evict_round_).
+    std::vector<std::uint32_t> pending_evict;
+    /// The dropped-op diff's open-addressing set of the fresh ops, probed
+    /// once per cached op.
+    std::vector<DelayedOp> fresh_set;
+    PeerCache paranoid_prev;
+    std::vector<std::uint32_t> live;  // owners run live, in order
+  };
+
   // Round working set, reused across rounds so a steady-state round
   // allocates nothing (capacity persists between calls).
   std::vector<std::uint32_t> owners_;
   std::vector<DelayedOp> ops_;
   std::vector<Slot> rl_next_, rr_next_;
-  std::vector<RuleActivity> shard_activity_;
-  // Op queues of shards 1..T-1 (shard 0 emits into ops_ directly).
-  std::vector<std::vector<DelayedOp>> shard_ops_;
-  // Per shard: the edits of the live run in progress (RuleCtx::record).
-  std::vector<std::vector<LocalEdit>> shard_record_;
-  std::vector<RuleArena> arenas_;  // one per worker thread
+  std::vector<Shard> shards_;  // one per worker thread
   std::unique_ptr<WorkerPool> pool_;
 
   // Scheduler state (active-set mode).
@@ -503,12 +503,10 @@ class Engine {
   std::vector<std::uint8_t> skip_;        // per owner: resting, skip outright
   // Per owner: skipped in emit-only mode (translation closure) -- the
   // cached ops are delivered at commit, nothing else runs. Only ever set for
-  // owners with skip_[o] == 1.
+  // owners with skip_[o] == 1, and only refilled in rounds that build a skip
+  // set (lazy_evict_round_): commit scans it in those rounds alone
+  // (DESIGN.md §6.6, emit-only delivery).
   std::vector<std::uint8_t> boundary_;
-  // Per shard: the emit-only owners of this round, in the order run_range
-  // met them; the deferred pass appends its injections to shard 0. Commit
-  // walks their cached ops after ops_ (DESIGN.md §6.6, emit-only delivery).
-  std::vector<std::vector<std::uint32_t>> shard_emit_only_;
   // op_senders_[o] = sorted owner ids whose cached ops reference o (the
   // reverse of PeerCache::op_owners). Append-only over-approximation like
   // the network's reader index; rebuilt from scratch at an epoch reset.
@@ -526,10 +524,6 @@ class Engine {
   /// plus the O(1) references the frontier actually moved, not the whole
   /// reference neighborhood of every woken peer.
   bool lazy_evict_round_ = false;
-  std::vector<std::vector<std::uint32_t>> shard_pending_evict_;  // per shard
-  // Per-shard scratch for the dropped-op diff (runs inside run_range): an
-  // open-addressing set of the fresh ops, probed once per cached op.
-  std::vector<std::vector<DelayedOp>> shard_fresh_set_;
   std::vector<std::uint32_t> phase_b_;          // deferred replays, in order
   // This round's deferred-pass counts, for the metric recount: replays,
   // emit-only injections, and emit-only owners that turned into replays.
@@ -551,12 +545,6 @@ class Engine {
   /// rebuilt once from ground truth after commit -- before apply_wakes
   /// needs them -- at O(edges + cached ops) total.
   bool mass_reg_pending_ = false;
-  std::vector<PeerCache> paranoid_prev_;  // per shard scratch
-  std::vector<std::vector<std::uint32_t>> shard_live_;  // owners run live
-  std::vector<std::vector<std::uint32_t>> shard_ran_;   // live or replayed
-  std::vector<std::size_t> shard_active_, shard_replayed_, shard_skipped_,
-      shard_boundary_;
-  std::vector<std::uint64_t> shard_mismatch_;
   std::vector<std::uint32_t> changed_owners_, published_owners_;
   std::vector<std::uint32_t> oob_owners_;  // out-of-band-dirty owners
 
@@ -577,13 +565,11 @@ class Engine {
   [[nodiscard]] bool partition_cut(Slot a, Slot b) const noexcept {
     return partition_side(owner_of(a)) != partition_side(owner_of(b));
   }
-  void inflight_ref_add(std::uint32_t owner);
-  void inflight_ref_sub(std::uint32_t owner) noexcept {
-    --inflight_refs_[owner];
-  }
   void run_peers();
+  /// Sizes shards_ to at least `shards` and resets every kept shard.
+  void begin_round(unsigned shards);
   void run_range(std::size_t begin, std::size_t end,
-                 std::vector<DelayedOp>& out, unsigned shard);
+                 std::vector<DelayedOp>& out, Shard& sh);
   /// `scratch` holds the targets of a bulk-removed run (the shard's arena).
   void replay_peer(std::uint32_t owner, const PeerCache& pc,
                    std::vector<DelayedOp>& out, RuleActivity& act,

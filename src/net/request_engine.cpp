@@ -18,11 +18,6 @@ namespace {
 /// contract: a different shard count reorders the per-round completion
 /// sequence (and therefore the fingerprint), like a different request seed.
 constexpr std::uint32_t kShards = 16;
-/// Per-shard cap on cached routing rows (DESIGN.md §10.3). When a shard's
-/// cache is full and a new owner needs a row, the whole shard cache is
-/// dumped (epoch eviction); hot owners re-warm on the next round. Cached
-/// rows equal fresh scans, so outcomes never depend on the cap.
-constexpr std::size_t kRowCacheCap = 1 << 15;
 constexpr std::uint32_t kNoPayload = UINT32_MAX;
 /// uid of a free slot (uids count up from 0 and never reach it).
 constexpr std::uint64_t kNoUid = UINT64_MAX;
@@ -295,13 +290,9 @@ const NbrRow& RequestEngine::owner_row(Shard& sh, std::uint32_t owner) {
   // every input: edges, aliveness; owner positions are immutable), so
   // outcomes cannot depend on cache hits -- only the wall clock does.
   const std::uint64_t ver = engine_.network().topology_version();
-  auto it = sh.rows.find(owner);
-  if (it == sh.rows.end()) {
-    if (sh.rows.size() >= kRowCacheCap)
-      sh.rows.clear();  // epoch dump; hot owners re-warm next round
-    it = sh.rows.emplace(owner, OwnerRow{}).first;
-  }
-  OwnerRow& row = it->second;
+  const std::size_t i = owner / kShards;
+  if (sh.rows.size() <= i) sh.rows.resize(i + 1);
+  OwnerRow& row = sh.rows[i];
   if (row.stamp != ver) {
     build_row(engine_.network(), owner, row.nbrs);
     row.stamp = ver;

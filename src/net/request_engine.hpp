@@ -29,7 +29,7 @@
 //   * Advancement is BATCHED per custody owner: a shard stably groups its
 //     parked requests by owner and fetches that owner's routing row ONCE per
 //     round, amortized over every request parked there. Rows are cached per
-//     shard (at most kRowCacheCap owners) and validated against
+//     shard, one per owner, and validated against
 //     Network::topology_version(), so at steady state an owner's edge scan
 //     happens once EVER. The routing rule itself is one pure function,
 //     next_hop(), of the row, the custody position, the key, the phase and
@@ -94,7 +94,6 @@
 #include <deque>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -127,8 +126,8 @@ enum class RequestStatus : std::uint8_t {
 [[nodiscard]] const char* request_status_name(RequestStatus s);
 [[nodiscard]] const char* request_kind_name(RequestKind k);
 
-/// Per-engine knobs. The shard count and the row-cache cap are not options:
-/// they are fixed constants of the engine (DESIGN.md §10.1, §10.3).
+/// Per-engine knobs. The shard count is not an option: it is a fixed
+/// constant of the engine (DESIGN.md §10.1).
 struct RequestOptions {
   /// Seeds the stateless per-(request, attempt) hop coins.
   std::uint64_t seed = 0x5EEDC0FFEEULL;
@@ -458,10 +457,12 @@ class RequestEngine {
     /// deterministic insertion order -- submissions, then merge handoffs in
     /// shard-major order, then this shard's own deliveries.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> parked;
-    /// Routing rows of this shard's owners, keyed by custody owner --
-    /// written only by this shard's worker (an owner maps to exactly one
-    /// shard), so the cache is race-free under the parallel phase.
-    std::unordered_map<std::uint32_t, OwnerRow> rows;
+    /// Routing rows of this shard's owners, indexed by custody owner /
+    /// kShards and grown on demand -- written only by this shard's worker
+    /// (an owner maps to exactly one shard), so the cache is race-free under
+    /// the parallel phase. A row mirrors one owner's slots in the Network,
+    /// so the cache never outgrows the network it reads.
+    std::vector<OwnerRow> rows;
     /// due[k]: slots whose in-flight hop delivers HERE at the k-th next
     /// on_round (the front bucket is this round's deliveries); emission
     /// order within a bucket is preserved, like the engine's in-flight

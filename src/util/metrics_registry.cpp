@@ -33,26 +33,8 @@ void MetricsRegistry::gauge_set(std::string_view name, double v) {
 }
 
 void MetricsRegistry::observe(std::string_view name, double sample) {
-  Metric& m = find_or_create(metrics_, name, MetricKind::kHistogram);
-  if (m.samples.size() < kHistCap) {
-    m.samples.push_back(sample);
-  } else {
-    m.samples[m.next] = sample;
-    if (++m.next == kHistCap) m.next = 0;
-  }
-}
-
-double MetricsRegistry::value(std::string_view name) const {
-  const auto it = metrics_.find(name);
-  if (it == metrics_.end()) return 0.0;
-  switch (it->second.kind) {
-    case MetricKind::kCounter:
-      return static_cast<double>(it->second.counter);
-    case MetricKind::kGauge:
-      return it->second.gauge;
-    default:
-      return 0.0;
-  }
+  find_or_create(metrics_, name, MetricKind::kHistogram)
+      .samples.push_back(sample);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -82,22 +64,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return out;
 }
 
-MetricsSnapshot MetricsRegistry::diff(const MetricsSnapshot& before,
-                                      const MetricsSnapshot& after) {
-  MetricsSnapshot out;
-  for (const auto& [name, v] : after) {
-    MetricValue d = v;
-    if (v.kind == MetricKind::kCounter) {
-      const auto it = before.find(name);
-      if (it != before.end()) d.value = v.value - it->second.value;
-    }
-    out.emplace(name, d);
-  }
-  return out;
-}
-
-void MetricsRegistry::clear() { metrics_.clear(); }
-
 void MetricsRegistry::print_snapshot(const MetricsSnapshot& snap,
                                      std::ostream& os) {
   std::size_t width = 0;
@@ -119,10 +85,6 @@ void MetricsRegistry::print_snapshot(const MetricsSnapshot& snap,
         break;
     }
   }
-}
-
-void MetricsRegistry::print_summary(std::ostream& os) const {
-  print_snapshot(snapshot(), os);
 }
 
 }  // namespace rechord::util

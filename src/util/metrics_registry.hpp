@@ -5,11 +5,9 @@
 // published. Three instrument kinds:
 //   counter   -- monotonically meaningful unsigned total (set or add)
 //   gauge     -- last-write-wins level (doubles)
-//   histogram -- bounded sample set summarized as count/mean/p50/p99/max
-// A Snapshot is an ordered name -> value map; diff() subtracts counters
-// between two snapshots and keeps the later value for everything else, so
-// "what changed across this phase" is one call. Deterministic: iteration
-// is name-ordered and no wall-clock enters any value.
+//   histogram -- every sample, summarized as count/mean/p50/p99/max
+// A Snapshot is an ordered name -> value map. Deterministic: iteration is
+// name-ordered and no wall-clock enters any value.
 
 #include <cstdint>
 #include <iosfwd>
@@ -36,35 +34,22 @@ class MetricsRegistry {
   void counter_set(std::string_view name, std::uint64_t v);
   void counter_add(std::string_view name, std::uint64_t delta);
   void gauge_set(std::string_view name, double v);
-  /// Histogram sample; each series keeps at most `kHistCap` newest samples
-  /// (ring) while count/summary reflect what is retained.
+  /// Histogram sample. Every sample is kept, so count and the summary
+  /// cover the whole series; the one histogram the scenario runner feeds
+  /// takes one sample per round, bounded by the run length.
   void observe(std::string_view name, double sample);
-
-  /// Current value of a counter or gauge; 0 for unknown/histogram names.
-  [[nodiscard]] double value(std::string_view name) const;
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Counters: after - before (missing-in-before counts as 0). Gauges and
-  /// histograms: the `after` entry verbatim. Names only in `before` drop.
-  [[nodiscard]] static MetricsSnapshot diff(const MetricsSnapshot& before,
-                                            const MetricsSnapshot& after);
-
-  void clear();
-
-  /// End-of-run summary: one aligned "name value" line per metric.
-  void print_summary(std::ostream& os) const;
+  /// One aligned "name value" line per metric.
   static void print_snapshot(const MetricsSnapshot& snap, std::ostream& os);
-
-  static constexpr std::size_t kHistCap = 1 << 14;
 
  private:
   struct Metric {
     MetricKind kind = MetricKind::kCounter;
     std::uint64_t counter = 0;
     double gauge = 0.0;
-    std::vector<double> samples;
-    std::size_t next = 0;
+    std::vector<double> samples{};
   };
   // std::map: name-ordered iteration keeps snapshots and printed summaries
   // deterministic across platforms and insertion orders.

@@ -143,19 +143,21 @@ TEST(Convergence, SerialAndParallelBitIdentical) {
   }
 }
 
-TEST(Convergence, TrackSeriesRecordsEveryRound) {
+TEST(Convergence, RoundObserverRecordsEveryRound) {
   util::Rng rng(12);
   Engine engine(gen::make_network(gen::Topology::kRandomConnected, 10, rng),
                 {});
   const auto spec = StableSpec::compute(engine.network());
+  std::vector<RoundMetrics> series;
+  engine.set_round_observer(
+      [&series](const RoundMetrics& mt) { series.push_back(mt); });
   RunOptions opt;
-  opt.track_series = true;
   opt.max_rounds = 10000;
   const auto result = run_to_stable(engine, spec, opt);
   ASSERT_TRUE(result.stabilized);
-  EXPECT_EQ(result.series.size(), result.rounds_to_stable + 1);
-  for (std::size_t i = 0; i < result.series.size(); ++i)
-    EXPECT_EQ(result.series[i].round, i + 1);
+  EXPECT_EQ(series.size(), result.rounds_to_stable + 1);
+  for (std::size_t i = 0; i < series.size(); ++i)
+    EXPECT_EQ(series[i].round, i + 1);
 }
 
 TEST(Convergence, MetricsMatchPaperDefinitions) {

@@ -1,5 +1,5 @@
 // Observability layer (DESIGN.md §11): metrics-registry
-// counter/gauge/histogram semantics and snapshot diffs; the tracer's ring
+// counter/gauge/histogram semantics; the tracer's ring
 // buffer, JSONL golden (the schema pin -- one event of every kind) and
 // Chrome export; the profiler's phase attribution; and the hard determinism
 // contract -- enabling the profiler and the tracer changes not one outcome
@@ -58,16 +58,13 @@ TEST(MetricsRegistryTest, CountersGaugesHistogramsSnapshot) {
   reg.gauge_set("g", -1.25);  // last write wins
   for (int i = 1; i <= 4; ++i) reg.observe("h", static_cast<double>(i));
 
-  EXPECT_EQ(reg.value("c.add"), 7.0);
-  EXPECT_EQ(reg.value("c.set"), 2.0);
-  EXPECT_EQ(reg.value("g"), -1.25);
-  EXPECT_EQ(reg.value("h"), 0.0);        // histograms have no scalar value
-  EXPECT_EQ(reg.value("missing"), 0.0);  // unknown names read as 0
-
   const auto snap = reg.snapshot();
   ASSERT_EQ(snap.size(), 4U);
   EXPECT_EQ(snap.at("c.add").kind, MetricKind::kCounter);
   EXPECT_EQ(snap.at("c.add").value, 7.0);
+  EXPECT_EQ(snap.at("c.set").kind, MetricKind::kCounter);
+  EXPECT_EQ(snap.at("c.set").value, 2.0);
+  EXPECT_EQ(snap.count("missing"), 0U);  // only written names appear
   EXPECT_EQ(snap.at("g").kind, MetricKind::kGauge);
   EXPECT_EQ(snap.at("g").value, -1.25);
   const auto& h = snap.at("h");
@@ -83,33 +80,18 @@ TEST(MetricsRegistryTest, CountersGaugesHistogramsSnapshot) {
   std::vector<std::string> names;
   for (const auto& [name, v] : snap) names.push_back(name);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-
-  reg.clear();
-  EXPECT_TRUE(reg.snapshot().empty());
 }
 
-TEST(MetricsRegistryTest, DiffSubtractsCountersAndKeepsLatestLevels) {
+// A histogram keeps every sample: count and the summary cover the whole
+// series, not a window of the newest ones.
+TEST(MetricsRegistryTest, HistogramKeepsEverySample) {
   MetricsRegistry reg;
-  reg.counter_set("c", 10);
-  reg.gauge_set("g", 1.0);
-  reg.observe("h", 5.0);
-  const auto before = reg.snapshot();
-
-  reg.counter_add("c", 32);
-  reg.counter_set("fresh", 4);
-  reg.gauge_set("g", 7.0);
-  reg.observe("h", 9.0);
-  const auto after = reg.snapshot();
-
-  const auto d = MetricsRegistry::diff(before, after);
-  EXPECT_EQ(d.at("c").value, 32.0);     // counter: after - before
-  EXPECT_EQ(d.at("fresh").value, 4.0);  // missing-in-before counts as 0
-  EXPECT_EQ(d.at("g").value, 7.0);      // gauge: after verbatim
-  EXPECT_EQ(d.at("h").value, 2.0);      // histogram: after verbatim
-
-  // Names present only in `before` drop out of the diff.
-  const auto reversed = MetricsRegistry::diff(after, before);
-  EXPECT_EQ(reversed.count("fresh"), 0U);
+  constexpr std::size_t kSamples = (std::size_t{1} << 14) + 1;
+  for (std::size_t i = 0; i < kSamples; ++i)
+    reg.observe("h", i == 0 ? 1e6 : 1.0);
+  const auto h = reg.snapshot().at("h");
+  EXPECT_EQ(h.value, static_cast<double>(kSamples));
+  EXPECT_EQ(h.max, 1e6);  // the first sample still counts
 }
 
 // -- tracer ------------------------------------------------------------------

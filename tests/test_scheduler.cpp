@@ -629,13 +629,6 @@ TEST(Scheduler, LatencyMixedClassesActiveVsFullScanBitIdentical) {
                                       << " stride=" << stride
                                       << " seed=" << seed << " round " << r;
           };
-          // Refcount bookkeeping == ground-truth queue walk, in both engines.
-          ASSERT_EQ(active.inflight_refcount_owners(),
-                    active.inflight_referenced_owners())
-              << where();
-          ASSERT_EQ(full.inflight_refcount_owners(),
-                    full.inflight_referenced_owners())
-              << where();
           ASSERT_EQ(ma.changed, mf.changed) << where();
           ASSERT_EQ(active.inflight_message_count(),
                     full.inflight_message_count())
@@ -699,10 +692,6 @@ TEST(Scheduler, InFlightReferencedPeersNeverRestingAndGateFixpoint) {
   std::uint64_t inflight_seen = 0;
   for (int r = 0; r < 30; ++r) {
     const auto refs = engine.inflight_referenced_owners();
-    // The per-owner refcount bookkeeping (updated at enqueue/drain, the set
-    // the rule-(3) eviction scan actually walks) must agree with the
-    // ground-truth queue walk at every round.
-    ASSERT_EQ(engine.inflight_refcount_owners(), refs) << "round " << r;
     const auto mt = engine.step();
     for (const std::uint32_t o : refs)
       ASSERT_FALSE(engine.owner_was_skipped(o))
